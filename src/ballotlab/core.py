@@ -124,16 +124,17 @@ def classify_ballot(ballot: RankedBallot, roster: Sequence[str]) -> BallotClass:
         )
     roster_set = frozenset(candidates)
 
-    ranks: list[set[str]] = []
+    ranks: list[frozenset[str] | set[str]] = []
     for marks in ballot.ranks:
-        kept = {m for m in marks if not is_write_in(m)}
-        unknown = kept - roster_set
-        if unknown:
-            raise MalformedBallotError(
-                f"mark {sorted(unknown)[0]!r} names no roster candidate"
-            )
-        if kept:
-            ranks.append(kept)
+        if not marks <= roster_set:
+            marks = {m for m in marks if not is_write_in(m)}
+            unknown = marks - roster_set
+            if unknown:
+                raise MalformedBallotError(
+                    f"mark {sorted(unknown)[0]!r} names no roster candidate"
+                )
+        if marks:
+            ranks.append(marks)
 
     if not ranks:
         return Blank()
@@ -304,23 +305,30 @@ class CondensedProfile:
 
 def condense(classified: Iterable[BallotClass], roster: Sequence[str]) -> CondensedProfile:
     """Count classified ballots into a condensed profile."""
+    return condense_weighted(((cls, 1) for cls in classified), roster)
+
+
+def condense_weighted(
+    weighted: Iterable[tuple[BallotClass, int]], roster: Sequence[str]
+) -> CondensedProfile:
+    """Count ``(ballot class, number of ballots)`` pairs into a condensed profile."""
     bullet: dict[str, int] = {}
     full: dict[tuple[str, str], int] = {}
     over2: dict[frozenset[str], int] = {}
     over3 = 0
     blank = 0
-    for cls in classified:
+    for cls, n in weighted:
         match cls:
             case Bullet(first=c):
-                bullet[c] = bullet.get(c, 0) + 1
+                bullet[c] = bullet.get(c, 0) + n
             case Full(first=f, second=s):
-                full[(f, s)] = full.get((f, s), 0) + 1
+                full[(f, s)] = full.get((f, s), 0) + n
             case OvervoteTopTwo(pair=p):
-                over2[p] = over2.get(p, 0) + 1
+                over2[p] = over2.get(p, 0) + n
             case OvervoteTopAll():
-                over3 += 1
+                over3 += n
             case Blank():
-                blank += 1
+                blank += n
             case _:
                 raise TypeError(f"not a ballot class: {cls!r}")
     return CondensedProfile(tuple(roster), bullet, full, over2, over3, blank)

@@ -17,13 +17,14 @@ Two formats are supported:
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
     CondensedProfile,
     RankedBallot,
     classify_ballot,
-    condense,
+    condense_weighted,
     is_write_in,
     validate_roster,
 )
@@ -36,14 +37,28 @@ _RESERVED = (",", ">", "+")
 
 @dataclass(frozen=True)
 class RawCvrDocument:
-    """A parsed raw cast-vote-record: roster plus one ballot per voter."""
+    """A parsed raw cast-vote-record: roster plus one ballot per voter.
+
+    Ballots with identical rank grids (the same mark set at every rank)
+    share one :class:`RankedBallot` instance, so ``ballots`` holds one
+    entry per voter in file order but only one object per distinct grid.
+    """
 
     candidates: tuple[str, ...]
     ballots: tuple[RankedBallot, ...]
 
 
 def parse_raw(data: bytes) -> RawCvrDocument:
-    """Parse and structurally validate a raw CVR document."""
+    """Parse and structurally validate a raw CVR document.
+
+    Every ballot is checked for being an array with the first ballot's
+    rank count.  The per-rank checks run only where the raw marks are new:
+    a ballot repeating an earlier ballot's marks reuses its
+    :class:`RankedBallot`, and a rank repeating an earlier rank's marks
+    reuses its mark set.  What is reused passed the checks at its first
+    occurrence, so an error still names the first offending ballot and
+    rank.
+    """
     try:
         doc = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -73,6 +88,12 @@ def parse_raw(data: bytes) -> RawCvrDocument:
 
     if not isinstance(doc["ballots"], list):
         raise ParseError("'ballots' must be an array")
+    # checked: raw-mark key of a grid that passed the checks -> its ballot.
+    # rank_sets: marks of a rank that passed them -> one shared frozenset.
+    # grids: one ballot per distinct grid of mark sets.
+    checked: dict[tuple, RankedBallot] = {}
+    rank_sets: dict[tuple[str, ...], frozenset[str]] = {}
+    grids: dict[RankedBallot, RankedBallot] = {}
     ballots = []
     rank_positions: int | None = None
     for i, raw_ballot in enumerate(doc["ballots"]):
@@ -84,8 +105,36 @@ def parse_raw(data: bytes) -> RawCvrDocument:
             raise ParseError(
                 f"ballot {i} has {len(raw_ballot)} rank positions, expected {rank_positions}"
             )
-        ranks = []
-        for j, raw_rank in enumerate(raw_ballot):
+        # The rank types are part of the key: a string or object rank
+        # iterates to the same marks as an array of them.  A rank that is
+        # not iterable, or an array or object mark, raises TypeError here
+        # and fails the checks in _check_ranks.
+        try:
+            key = (*map(tuple, raw_ballot), *map(type, raw_ballot))
+            ballot = checked.get(key)
+        except TypeError:
+            key = ballot = None
+        if ballot is None:
+            ballot = RankedBallot(_check_ranks(i, raw_ballot, key, roster_set, rank_sets))
+            ballot = grids.setdefault(ballot, ballot)
+            if key is not None:
+                checked[key] = ballot
+        ballots.append(ballot)
+    return RawCvrDocument(candidates=roster, ballots=tuple(ballots))
+
+
+def _check_ranks(i: int, raw_ballot: list, key: tuple | None, roster_set: frozenset[str],
+                 rank_sets: dict[tuple[str, ...], frozenset[str]]) -> tuple[frozenset[str], ...]:
+    """Check ballot ``i``'s rank positions and return their mark sets.
+
+    ``key`` is the ballot's raw-mark key, or None if it has none.  A rank
+    that is an array whose marks are already in ``rank_sets`` passed the
+    checks before and is not checked again.
+    """
+    ranks = []
+    for j, raw_rank in enumerate(raw_ballot):
+        marks = rank_sets.get(key[j]) if key is not None and isinstance(raw_rank, list) else None
+        if marks is None:
             if not isinstance(raw_rank, list) or not all(
                 isinstance(m, str) for m in raw_rank
             ):
@@ -95,15 +144,25 @@ def parse_raw(data: bytes) -> RawCvrDocument:
                     raise ParseError(
                         f"ballot {i} rank {j + 1}: mark {mark!r} names no roster candidate"
                     )
-            ranks.append(frozenset(raw_rank))
-        ballots.append(RankedBallot(tuple(ranks)))
-    return RawCvrDocument(candidates=roster, ballots=tuple(ballots))
+            marks = rank_sets[tuple(raw_rank)] = frozenset(raw_rank)
+        ranks.append(marks)
+    return tuple(ranks)
 
 
 def ingest(doc: RawCvrDocument) -> CondensedProfile:
-    """Classify every ballot in a raw document and condense the result."""
-    classified = (classify_ballot(b, doc.candidates) for b in doc.ballots)
-    return condense(classified, doc.candidates)
+    """Classify each distinct rank grid once and condense the result.
+
+    Ballots are counted per :class:`RankedBallot` instance, which
+    :func:`parse_raw` shares among identical grids, and the grids are
+    classified in order of first appearance, so the first classification
+    error is the one the first offending ballot raises.
+    """
+    counts = Counter(map(id, doc.ballots))
+    grids = dict(zip(map(id, doc.ballots), doc.ballots))
+    return condense_weighted(
+        ((classify_ballot(grids[k], doc.candidates), n) for k, n in counts.items()),
+        doc.candidates,
+    )
 
 
 def _check_name(name: str) -> str:
@@ -134,7 +193,7 @@ def parse_condensed(data: bytes) -> CondensedProfile:
     pattern rows, which matches the order :func:`write_condensed` emits.
     """
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")  # spreadsheet exports often start with a BOM
     except UnicodeDecodeError as exc:
         raise ParseError(f"condensed file is not UTF-8: {exc}") from exc
 

@@ -245,6 +245,8 @@ def sweep_star(
     step = exact_rational(grid_step, "grid step")
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
+    if 100 % step.denominator:
+        raise ValueError(f"grid step must be a whole number of hundredths, got {step}")
     start = _star_value(start, "grid start")
     end = _star_value(end, "grid end")
     if start > end:

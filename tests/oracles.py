@@ -10,7 +10,8 @@ plain tuple:
 
 import random
 
-from ballotlab import CondensedProfile
+from ballotlab import CondensedProfile, ParseError, RankedBallot, classify_ballot, condense
+from ballotlab.core import is_write_in, validate_roster
 
 
 def expand_ballots(profile: CondensedProfile) -> list[tuple]:
@@ -173,3 +174,33 @@ def random_profile(
         else:
             over3 += 1
     return CondensedProfile(candidates, bullet, full, over2, over3)
+
+
+def per_ballot_ingest(doc: dict) -> CondensedProfile:
+    """Check and classify each ballot of a decoded raw document on its own.
+
+    ``doc`` is the JSON object of a raw CVR with a valid roster.  Every
+    ballot gets the full structural check and its own
+    :class:`RankedBallot` and classification, with the same error
+    messages as :func:`ballotlab.parse_raw`, before any is classified.
+    """
+    roster = validate_roster(doc["candidates"])
+    ballots = []
+    for i, raw_ballot in enumerate(doc["ballots"]):
+        if not isinstance(raw_ballot, list):
+            raise ParseError(f"ballot {i} must be an array of rank positions")
+        if ballots and len(raw_ballot) != len(ballots[0].ranks):
+            raise ParseError(
+                f"ballot {i} has {len(raw_ballot)} rank positions, "
+                f"expected {len(ballots[0].ranks)}"
+            )
+        for j, raw_rank in enumerate(raw_ballot):
+            if not isinstance(raw_rank, list) or not all(isinstance(m, str) for m in raw_rank):
+                raise ParseError(f"ballot {i} rank {j + 1} must be an array of mark strings")
+            for mark in raw_rank:
+                if not is_write_in(mark) and mark not in roster:
+                    raise ParseError(
+                        f"ballot {i} rank {j + 1}: mark {mark!r} names no roster candidate"
+                    )
+        ballots.append(RankedBallot.from_marks(raw_ballot))
+    return condense([classify_ballot(b, roster) for b in ballots], roster)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +213,19 @@ class TestCommandOutputs:
         )
         assert code == 0
         assert out == "s,winner\n1,Begich\n2,Begich\n3,Begich\n4,Begich\n"
+
+    def test_star_sweep_rejects_step_finer_than_hundredths(self, capsys, fixture):
+        code, out, err = invoke(capsys, "star", "sweep", fixture, "--grid", "1:2:0.003")
+        assert code == 2
+        assert out == ""
+        assert err == "error: grid step must be a whole number of hundredths, got 3/1000\n"
+
+    def test_irv_reads_condensed_file_with_byte_order_mark(self, capsys, fixture, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(fixture).read_bytes())
+        expected = invoke(capsys, "irv", fixture, "--format", "csv")
+        assert expected[0] == 0
+        assert invoke(capsys, "irv", str(path), "--format", "csv") == expected
 
     def test_plot_data_flags(self, capsys, fixture):
         code, out, _ = invoke(capsys, "approval", "range", fixture, "--plot-data")

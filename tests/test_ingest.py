@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from ballotlab import (
@@ -8,13 +10,12 @@ from ballotlab import (
     parse_raw,
     write_condensed,
 )
+from ballotlab.cli import run
 
 from .conftest import alaska
 
 
 def raw_doc(ballots, candidates=("A", "B", "C")):
-    import json
-
     return json.dumps({"candidates": list(candidates), "ballots": ballots}).encode()
 
 
@@ -86,6 +87,98 @@ class TestIngest:
         profile = ingest(doc)
         total = profile.total_with_any_mark + profile.blank_count
         assert total == len(doc.ballots)
+
+
+VALID = [["A"], ["B"], []]
+
+
+class TestRepeatedGrids:
+    def test_identical_grids_share_one_ballot(self):
+        doc = parse_raw(raw_doc([VALID, [["A"], ["B"], ["C"]], VALID, [["A"], ["B"], []]]))
+        assert len(doc.ballots) == 4
+        assert doc.ballots[0] is doc.ballots[2] is doc.ballots[3]
+        assert doc.ballots[1] is not doc.ballots[0]
+
+    def test_mark_order_and_duplicates_share_one_ballot(self):
+        doc = parse_raw(raw_doc([[["A", "B"], [], []], [["B", "A", "A"], [], []]]))
+        assert doc.ballots[0] is doc.ballots[1]
+        assert doc.ballots[0].ranks[1] is doc.ballots[0].ranks[2]
+
+
+class TestRepeatedGridErrors:
+    """A reused grid never hides an error: the CLI reports the first offending ballot."""
+
+    @pytest.mark.parametrize(
+        ("ballots", "candidates", "message"),
+        [
+            pytest.param(
+                [VALID, ["A", ["B"], []]], "ABC",
+                "ballot 1 rank 1 must be an array of mark strings",
+                id="string-rank",
+            ),
+            pytest.param(
+                [[["A", "B"], [], []], ["AB", [], []]], "ABC",
+                "ballot 1 rank 1 must be an array of mark strings",
+                id="string-rank-spelling-a-seen-rank",
+            ),
+            pytest.param(
+                [VALID, [{"A": 1}, ["B"], []]], "ABC",
+                "ballot 1 rank 1 must be an array of mark strings",
+                id="object-rank",
+            ),
+            pytest.param(
+                [VALID, [[["A"]], ["B"], []]], "ABC",
+                "ballot 1 rank 1 must be an array of mark strings",
+                id="nested-array-mark",
+            ),
+            pytest.param(
+                [VALID, [["A"], 2, []]], "ABC",
+                "ballot 1 rank 2 must be an array of mark strings",
+                id="number-rank",
+            ),
+            pytest.param(
+                [[["A"], ["B"], ["C"]], [["A"], ["B"], [1]]], "ABC",
+                "ballot 1 rank 3 must be an array of mark strings",
+                id="integer-mark-after-seen-prefix",
+            ),
+            pytest.param(
+                [[["A"], ["B"], ["C"]], [["A"], ["B"], [{"x": 1}]]], "ABC",
+                "ballot 1 rank 3 must be an array of mark strings",
+                id="object-mark-after-seen-prefix",
+            ),
+            pytest.param(
+                [VALID, [["A"], ["B"], ["D"]]], "ABC",
+                "ballot 1 rank 3: mark 'D' names no roster candidate",
+                id="unknown-mark-after-seen-prefix",
+            ),
+            pytest.param(
+                [VALID] * 1000 + [[["A"], ["B"]]], "ABC",
+                "ballot 1000 has 2 rank positions, expected 3",
+                id="rank-count-after-repeats",
+            ),
+            pytest.param(
+                [[["A", "B", "C"], [], [], []], [["A"], [], [], "B"]], "ABCD",
+                "ballot 1 rank 4 must be an array of mark strings",
+                id="structural-error-beats-earlier-overvote",
+            ),
+        ],
+    )
+    def test_exact_message_and_exit_code(self, capsys, tmp_path, ballots, candidates, message):
+        path = tmp_path / "raw.json"
+        path.write_bytes(raw_doc(ballots, tuple(candidates)))
+        assert run(["ingest", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("marks", [3, 4])
+    def test_first_failing_grid_names_the_error(self, capsys, tmp_path, marks):
+        overvotes = [[list("ABCDE"[:k]), [], [], [], []] for k in (marks, 7 - marks)]
+        path = tmp_path / "raw.json"
+        path.write_bytes(raw_doc([[["A"], [], [], [], []], *overvotes, *overvotes], "ABCDE"))
+        assert run(["ingest", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: top-rank overvote of {marks} marks covers neither two candidates "
+            "nor the whole roster\n"
+        )
 
 
 class TestCondensedFile:

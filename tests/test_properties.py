@@ -1,3 +1,5 @@
+import json
+import random
 from fractions import Fraction
 
 from hypothesis import assume, given
@@ -9,21 +11,25 @@ from ballotlab import (
     ApprovalScenario,
     CondensedProfile,
     DecisiveTieError,
+    MalformedBallotError,
+    ParseError,
     StarScenario,
     approval_range,
     condense,
     condorcet_winner_loser,
     evaluate_approval,
     evaluate_star,
+    ingest,
     pairwise_tallies,
     parse_condensed,
+    parse_raw,
     star_range,
     tabulate_irv,
     uniform_threshold,
     write_condensed,
 )
 
-from .oracles import brute_approval, brute_pairwise, brute_star_scores
+from .oracles import brute_approval, brute_pairwise, brute_star_scores, per_ballot_ingest
 
 ABC = ("A", "B", "C")
 GROUPS = tuple((a, b) for a in ABC for b in ABC if a != b)
@@ -66,6 +72,65 @@ def named_profiles(draw):
         for j in range(i + 1, len(roster))
     }
     return CondensedProfile(roster, bullet, full, over2, draw(counts), draw(counts))
+
+
+WRITE_INS = ("WRITEIN:x", "WRITEIN:yy")
+
+# Ways to break one rank while keeping its marks recognisable: a string or
+# object rank iterates to the same marks as the array it replaces.
+DISGUISES = (
+    lambda rank: "".join(rank),
+    lambda rank: dict.fromkeys(rank, 1),
+    lambda rank: [rank],
+    lambda rank: rank + [1],
+    lambda rank: rank + [{"A": 1}],
+    lambda rank: rank + ["Z"],
+    lambda rank: len(rank),
+    lambda rank: None,
+)
+
+
+@st.composite
+def raw_documents(draw):
+    """Raw CVRs whose ballots repeat a small pool of grids, sometimes broken."""
+    roster = "ABCDE"[:draw(st.integers(3, 5))]
+    # One rank more than the roster has candidates is a classification error.
+    positions = draw(st.integers(1, len(roster) + 1))
+    rank = st.lists(st.sampled_from(tuple(roster) + WRITE_INS), max_size=4)
+    grid = st.lists(rank, min_size=positions, max_size=positions)
+    pool = draw(st.lists(grid, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=30))
+    # Permute the marks inside each rank of about half the ballots.
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ballots = [[rng.sample(r, len(r)) if rng.random() < 0.5 else list(r) for r in pool[k]]
+               for k in picks]
+    if rng.random() < 0.3:
+        # Break a rank of a repeat of an earlier ballot, so the broken
+        # ballot's marks match a grid that has already been seen.
+        i = draw(st.integers(0, len(ballots) - 1))
+        j = draw(st.integers(0, positions - 1))
+        broken = [list(r) for r in ballots[draw(st.integers(0, i))]]
+        broken[j] = draw(st.sampled_from(DISGUISES))(broken[j])
+        ballots.insert(i + 1, broken)
+    if rng.random() < 0.1:
+        # Drop the last rank of one ballot.
+        i = draw(st.integers(0, len(ballots) - 1))
+        ballots[i] = ballots[i][:-1]
+    return {"candidates": list(roster), "ballots": ballots}
+
+
+def _outcome(ingest_fn):
+    try:
+        return ingest_fn()
+    except (ParseError, MalformedBallotError) as exc:
+        return type(exc), str(exc)
+
+
+class TestRawIngest:
+    @given(raw_documents())
+    def test_matches_per_ballot_ingest(self, doc):
+        data = json.dumps(doc).encode()
+        assert _outcome(lambda: ingest(parse_raw(data))) == _outcome(lambda: per_ballot_ingest(doc))
 
 
 class TestCondensedRoundTrips:
