@@ -45,6 +45,7 @@ from .core import (
 from .errors import (
     DecisiveTieError,
     MalformedBallotError,
+    NoValidBallotsError,
     ParseError,
     UnattainableError,
 )
@@ -115,6 +116,7 @@ __all__ = [
     "uniform_star_threshold",
     "sweep_star",
     "MalformedBallotError",
+    "NoValidBallotsError",
     "ParseError",
     "DecisiveTieError",
     "UnattainableError",

@@ -81,23 +81,29 @@ class ApprovalRange:
     maximum: dict[str, int]
 
 
-def _base_votes(profile: CondensedProfile) -> dict[str, int]:
-    # Guaranteed approvals: first-place support including two-way ties.
-    return profile.first_place_totals(include_top_ties=True)
+def score_lines(profile: CondensedProfile, first_weight: int) -> tuple[dict[str, int], dict[str, int]]:
+    """Each candidate's score ``base + slope * t`` at a uniform second-choice value ``t``.
+
+    ``base`` is the guaranteed support, ``first_weight`` per first-place
+    vote with two-way top overvotes included; ``slope`` counts the full
+    rankings placing the candidate second.  Approval weighs a first
+    choice 1 with ``t`` the rate, STAR 5 stars with ``t`` the rating.
+    """
+    first = profile.first_place_totals(include_top_ties=True)
+    return {c: first_weight * n for c, n in first.items()}, profile.second_place_totals()
 
 
 def approval_range(profile: CondensedProfile) -> ApprovalRange:
     """Minimum and maximum possible approval count per candidate."""
     _require_three(profile)
-    base = _base_votes(profile)
-    second = profile.second_place_totals()
+    base, slope = score_lines(profile, 1)
     return ApprovalRange(
-        minimum=dict(base),
-        maximum={c: base[c] + second[c] for c in profile.candidates},
+        minimum=base,
+        maximum={c: base[c] + slope[c] for c in profile.candidates},
     )
 
 
-def _winners(scores: dict[str, Fraction], order: tuple[str, ...]) -> tuple[str, ...]:
+def _winners(scores: dict[str, int | Fraction], order: tuple[str, ...]) -> tuple[str, ...]:
     top = max(scores.values())
     return tuple(c for c in order if scores[c] == top)
 
@@ -105,7 +111,8 @@ def _winners(scores: dict[str, Fraction], order: tuple[str, ...]) -> tuple[str, 
 def evaluate_approval(profile: CondensedProfile, scenario: ApprovalScenario) -> ApprovalOutcome:
     """Exact expected approval scores under the scenario."""
     _require_three(profile)
-    scores = {c: Fraction(n) for c, n in _base_votes(profile).items()}
+    base, _ = score_lines(profile, 1)
+    scores = {c: Fraction(n) for c, n in base.items()}
     second_approvals = Fraction(0)
     for (first, second), p in scenario.rates.items():
         n = profile.full_count(first, second)
@@ -138,8 +145,7 @@ def uniform_threshold(profile: CondensedProfile, riser: str, leader: str) -> Fra
     for c in (riser, leader):
         if c not in profile.candidates:
             raise ValueError(f"{c!r} is not on the roster")
-    base = _base_votes(profile)
-    slope = profile.second_place_totals()
+    base, slope = score_lines(profile, 1)
     gap = base[leader] - base[riser]
     if gap <= 0:
         return Fraction(0)
@@ -181,7 +187,13 @@ def sweep_uniform(
     start=0,
     end=1,
 ) -> list[tuple[Fraction, tuple[str, ...]]]:
-    """Winners at every uniform rate ``start, start+step, ...`` up to ``end``."""
+    """Winners at every uniform rate ``start, start+step, ...`` up to ``end``.
+
+    Closed form: at rate ``p = n/d`` each candidate scores ``base + slope
+    * p`` (see :func:`score_lines`), so the winners are the candidates,
+    in roster order, with the highest integer ``base * d + slope * n``.
+    The lines are computed once per call, whatever the grid size.
+    """
     step = exact_rational(grid_step, "grid step")
     if not 0 < step <= 1:
         raise ValueError(f"grid step must lie in (0, 1], got {step}")
@@ -190,10 +202,11 @@ def sweep_uniform(
     if start > end:
         raise ValueError("grid start must not exceed grid end")
 
+    _require_three(profile)
+    base, slope = score_lines(profile, 1)
     points: list[tuple[Fraction, tuple[str, ...]]] = []
-    k = 0
-    while (p := start + k * step) <= end:
-        outcome = evaluate_approval(profile, ApprovalScenario.uniform(profile, p))
-        points.append((p, outcome.winners))
-        k += 1
+    for k in range((end - start) // step + 1):
+        p = start + k * step
+        scaled = {c: base[c] * p.denominator + slope[c] * p.numerator for c in base}
+        points.append((p, _winners(scaled, profile.candidates)))
     return points

@@ -5,8 +5,9 @@ files are auto-detected by extension (``.json`` raw cast-vote-record,
 ``.csv`` condensed profile) unless ``--input-format`` overrides.
 
 Exit codes: 0 success; 1 domain error (decisive tie, unattainable
-threshold); 2 usage or parse error.  Machine output formats are
-byte-deterministic; the table format appends a provenance footer.
+threshold, no valid ranked ballot to tabulate); 2 usage or parse
+error.  Machine output formats are byte-deterministic; the table
+format appends a provenance footer.
 """
 
 from __future__ import annotations
@@ -36,7 +37,13 @@ from .condorcet import (
     pairwise_tallies,
 )
 from .core import CondensedProfile
-from .errors import DecisiveTieError, MalformedBallotError, ParseError, UnattainableError
+from .errors import (
+    DecisiveTieError,
+    MalformedBallotError,
+    NoValidBallotsError,
+    ParseError,
+    UnattainableError,
+)
 from .ingest import ingest, parse_condensed, parse_raw, write_condensed
 from .irv import irv_percentages, tabulate_irv
 from .rational import decimal_string, exact_rational, fraction_token
@@ -72,12 +79,12 @@ def run(argv: Sequence[str]) -> int:
 
     try:
         output = args.handler(args, list(argv))
+    except (DecisiveTieError, UnattainableError, NoValidBallotsError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ParseError, MalformedBallotError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DecisiveTieError, UnattainableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
     if args.out:
         Path(args.out).write_bytes(output)

@@ -11,6 +11,10 @@ class ParseError(ValueError):
     """A ballot file that does not conform to its documented format."""
 
 
+class NoValidBallotsError(ValueError):
+    """A profile with no valid ranked ballot for a tabulation to count."""
+
+
 class DecisiveTieError(Exception):
     """An exact tie that the requested tabulation cannot resolve."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import CondensedProfile
-from .errors import DecisiveTieError
+from .errors import DecisiveTieError, NoValidBallotsError
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,9 @@ def tabulate_irv(profile: CondensedProfile, *, break_ties_by_roster: bool = Fals
     An exact tie for the lowest tally is a :class:`DecisiveTieError`
     unless ``break_ties_by_roster`` is set, in which case the tied
     candidate latest in roster order is eliminated (useful for
-    deterministic bulk runs, never for reporting a real contest).
+    deterministic bulk runs, never for reporting a real contest).  A
+    profile without a valid ranked ballot is a
+    :class:`NoValidBallotsError`.
     """
     # Each valid ranked pattern is a preference list; overvotes are
     # invalid here and blanks never enter the count.
@@ -73,7 +75,7 @@ def tabulate_irv(profile: CondensedProfile, *, break_ties_by_roster: bool = Fals
     invalid_overvotes = profile.total_overvotes
 
     if profile.total_valid_ranked == 0:
-        raise ValueError("no valid ranked ballots to tabulate")
+        raise NoValidBallotsError("no valid ranked ballots to tabulate")
 
     continuing = list(profile.candidates)
     rounds: list[IrvRound] = []

@@ -12,6 +12,15 @@ resolution is a hundredth of a star), so threshold arithmetic is
 bit-exact.  The runoff compares the two finalists ballot by ballot; a
 ballot scoring both finalists equally and above zero records "no
 preference", and one scoring neither carries no runoff vote at all.
+
+Uniform questions are answered in closed form.  At a uniform rating
+``s`` every candidate scores ``base + slope * s`` (5 stars per
+guaranteed first-place vote plus ``s`` per second-place ranking), and
+because any rating in [1, 4] lies strictly between a first choice's 5
+stars and a third choice's 0, no scenario changes how a ballot compares
+two candidates: the runoff tallies are one fixed table per profile.  A
+sweep therefore compares integer scores per grid point against that
+table, and a threshold solves its line for the least hundredth.
 """
 
 from __future__ import annotations
@@ -19,13 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .approval import Group
+from .approval import Group, score_lines
 from .core import CondensedProfile
 from .errors import DecisiveTieError, UnattainableError
 from .rational import bounded_rational, exact_rational
 
 _MIN_STARS = Fraction(1)
 _MAX_STARS = Fraction(4)
+
+# Runoff counts ``(votes_a, votes_b, no_preference)`` per ordered pair ``(a, b)``.
+RunoffTable = dict[tuple[str, str], tuple[int, int, int]]
 
 
 def _star_value(value, what: str) -> Fraction:
@@ -102,59 +114,65 @@ class StarThreshold:
     rival_maximum: int
 
 
-def _base_scores(profile: CondensedProfile) -> dict[str, int]:
-    # Guaranteed stars: 5 per first-place vote, two-way top ties included.
-    return {c: 5 * n for c, n in profile.first_place_totals(include_top_ties=True).items()}
-
-
 def star_range(profile: CondensedProfile) -> StarRange:
     """Minimum and maximum possible star score per candidate."""
     if len(profile.candidates) != 3:
         raise ValueError(
             f"score ranges need exactly 3 candidates, got {len(profile.candidates)}"
         )
-    base = _base_scores(profile)
-    second = profile.second_place_totals()
+    base, slope = score_lines(profile, 5)
     return StarRange(
-        minimum={c: base[c] + 1 * second[c] for c in profile.candidates},
-        maximum={c: base[c] + 4 * second[c] for c in profile.candidates},
+        minimum={c: base[c] + 1 * slope[c] for c in profile.candidates},
+        maximum={c: base[c] + 4 * slope[c] for c in profile.candidates},
     )
 
 
-def _pattern_scores(profile: CondensedProfile, scenario: StarScenario):
-    """Yield ``(score lookup, ballot count)`` per pattern; all-way overvotes excluded."""
+def _pattern_levels(profile: CondensedProfile):
+    """Yield ``(star level lookup, ballot count)`` per pattern; all-way overvotes excluded.
+
+    Levels order the stars a ballot gives: 2 for a first choice or a
+    two-way top overvote (5 stars), 1 for a second choice (1-4 stars);
+    an unscored candidate is level 0.
+    """
     for c, n in profile.bullet.items():
-        yield {c: Fraction(5)}.get, n
-    for group, n in profile.full.items():
-        first, second = group
-        yield {first: Fraction(5), second: scenario.stars[group]}.get, n
+        yield {c: 2}.get, n
+    for (first, second), n in profile.full.items():
+        yield {first: 2, second: 1}.get, n
     for pair, n in profile.over2.items():
-        yield {c: Fraction(5) for c in pair}.get, n
+        yield dict.fromkeys(pair, 2).get, n
 
 
-def _head_to_head(profile: CondensedProfile, scenario: StarScenario, a: str, b: str):
+def _head_to_head(profile: CondensedProfile, a: str, b: str) -> tuple[int, int, int]:
     """Ballot-level score comparison between two candidates.
 
     Returns ``(votes_a, votes_b, both_scored_equal)``; ballots scoring
     neither candidate are left out entirely.
     """
     votes_a = votes_b = no_pref = 0
-    zero = Fraction(0)
-    for score_of, n in _pattern_scores(profile, scenario):
-        sa = score_of(a, zero)
-        sb = score_of(b, zero)
-        if sa > sb:
+    for level_of, n in _pattern_levels(profile):
+        la = level_of(a, 0)
+        lb = level_of(b, 0)
+        if la > lb:
             votes_a += n
-        elif sb > sa:
+        elif lb > la:
             votes_b += n
-        elif sa > 0:
+        elif la:
             no_pref += n
     return votes_a, votes_b, no_pref
 
 
-def _pick_finalists(profile: CondensedProfile, scenario: StarScenario,
-                    scores: dict[str, Fraction]) -> tuple[str, str]:
-    candidates = profile.candidates
+def _runoff_table(profile: CondensedProfile) -> RunoffTable:
+    """:func:`_head_to_head` for every ordered candidate pair; the same under every scenario."""
+    table: RunoffTable = {}
+    for a, b in profile.candidate_pairs():
+        votes_a, votes_b, no_pref = _head_to_head(profile, a, b)
+        table[(a, b)] = votes_a, votes_b, no_pref
+        table[(b, a)] = votes_b, votes_a, no_pref
+    return table
+
+
+def _pick_finalists(candidates: tuple[str, ...], scores: dict[str, int | Fraction],
+                    table: RunoffTable) -> tuple[str, str]:
     if len(candidates) == 2:
         return candidates
     ordered = sorted(candidates, key=lambda c: scores[c], reverse=True)
@@ -164,7 +182,7 @@ def _pick_finalists(profile: CondensedProfile, scenario: StarScenario,
         # Two-way tie for the second berth: the head-to-head between the
         # tied candidates decides it.
         x, y = ordered[1], ordered[2]
-        vx, vy, _ = _head_to_head(profile, scenario, x, y)
+        vx, vy, _ = table[(x, y)]
         if vx == vy:
             raise DecisiveTieError(
                 f"score and head-to-head both tie {x} with {y} for the second "
@@ -179,22 +197,33 @@ def _pick_finalists(profile: CondensedProfile, scenario: StarScenario,
     return tuple(c for c in candidates if c in pair)  # type: ignore[return-value]
 
 
-def evaluate_star(profile: CondensedProfile, scenario: StarScenario) -> StarOutcome:
-    """Score round, finalist selection, and automatic runoff."""
-    _require_small_roster(profile)
-    scores = {c: Fraction(n) for c, n in _base_scores(profile).items()}
-    for group, s in scenario.stars.items():
-        scores[group[1]] += s * profile.full_count(*group)
-
-    finalists = _pick_finalists(profile, scenario, scores)
+def _runoff(candidates: tuple[str, ...], scores: dict[str, int | Fraction], table: RunoffTable):
+    """Finalists, their runoff ``(votes_a, votes_b, no_preference)`` and the winners."""
+    finalists = _pick_finalists(candidates, scores, table)
     a, b = finalists
-    votes_a, votes_b, no_pref = _head_to_head(profile, scenario, a, b)
+    tallies = table[finalists]
+    votes_a, votes_b, _ = tallies
     if votes_a > votes_b:
         winners: tuple[str, ...] = (a,)
     elif votes_b > votes_a:
         winners = (b,)
     else:
         winners = finalists
+    return finalists, tallies, winners
+
+
+def evaluate_star(profile: CondensedProfile, scenario: StarScenario) -> StarOutcome:
+    """Score round, finalist selection, and automatic runoff."""
+    _require_small_roster(profile)
+    base, _ = score_lines(profile, 5)
+    scores = {c: Fraction(n) for c, n in base.items()}
+    for group, s in scenario.stars.items():
+        scores[group[1]] += s * profile.full_count(*group)
+
+    finalists, (votes_a, votes_b, no_pref), winners = _runoff(
+        profile.candidates, scores, _runoff_table(profile)
+    )
+    a, b = finalists
     return StarOutcome(
         scores=scores,
         finalists=finalists,
@@ -207,31 +236,32 @@ def evaluate_star(profile: CondensedProfile, scenario: StarScenario) -> StarOutc
 def uniform_star_threshold(profile: CondensedProfile, guaranteed: str, rival: str) -> StarThreshold:
     """Least hundredth-of-a-star rating that puts ``guaranteed`` past ``rival``.
 
-    Scans the 0.01 grid over [1, 4] for the first rating at which
-    ``guaranteed``'s score -- with all groups ranking them second at that
-    rating -- strictly exceeds the best score ``rival`` could possibly
-    reach.  Raises :class:`UnattainableError` when even 4 stars fall
-    short.
+    The least rating at which ``guaranteed``'s score -- with all groups
+    ranking them second at that rating -- strictly exceeds the best score
+    ``rival`` could possibly reach.  Closed form: with ``guaranteed``'s
+    line ``base + slope * s``, the answer is the least hundredth ``h`` in
+    [100, 400] with ``h * slope > 100 * (rival_max - base)``.  Raises
+    :class:`UnattainableError` when even 4 stars fall short.
     """
     if guaranteed == rival:
         raise ValueError("guaranteed and rival must differ")
     for c in (guaranteed, rival):
         if c not in profile.candidates:
             raise ValueError(f"{c!r} is not on the roster")
-    base = _base_scores(profile)
-    slope = profile.second_place_totals()
+    base, slope = score_lines(profile, 5)
     rival_max = base[rival] + 4 * slope[rival]
 
-    for hundredths in range(100, 401):
-        s = Fraction(hundredths, 100)
-        achieved = base[guaranteed] + s * slope[guaranteed]
-        if achieved > rival_max:
-            return StarThreshold(stars=s, achieved_score=achieved, rival_maximum=rival_max)
-    raise UnattainableError(
-        f"{guaranteed} cannot exceed {rival}'s maximum score {rival_max} even at "
-        "4 stars from every second-choice voter",
-        required=None,
-    )
+    shortfall = 100 * (rival_max - base[guaranteed])
+    gain = slope[guaranteed]
+    if 400 * gain <= shortfall:
+        raise UnattainableError(
+            f"{guaranteed} cannot exceed {rival}'s maximum score {rival_max} even at "
+            "4 stars from every second-choice voter",
+            required=None,
+        )
+    hundredths = max(100, shortfall // gain + 1) if gain else 100
+    s = Fraction(hundredths, 100)
+    return StarThreshold(stars=s, achieved_score=base[guaranteed] + s * gain, rival_maximum=rival_max)
 
 
 def sweep_star(
@@ -241,7 +271,14 @@ def sweep_star(
     start=1,
     end=4,
 ) -> list[tuple[Fraction, tuple[str, ...]]]:
-    """Winners at every uniform rating ``start, start+step, ...`` up to ``end``."""
+    """Winners at every uniform rating ``start, start+step, ...`` up to ``end``.
+
+    Closed form: at rating ``s = n/d`` each candidate scores ``base +
+    slope * s``, compared as the integer ``base * d + slope * n``, and
+    the runoff table, which no rating in [1, 4] changes, is computed once
+    per call.  A score-round tie raises :class:`DecisiveTieError` at the
+    first grid point where it occurs.
+    """
     step = exact_rational(grid_step, "grid step")
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
@@ -252,10 +289,13 @@ def sweep_star(
     if start > end:
         raise ValueError("grid start must not exceed grid end")
 
+    _require_small_roster(profile)
+    base, slope = score_lines(profile, 5)
+    table = _runoff_table(profile)
     points: list[tuple[Fraction, tuple[str, ...]]] = []
-    k = 0
-    while (s := start + k * step) <= end:
-        outcome = evaluate_star(profile, StarScenario.uniform(profile, s))
-        points.append((s, outcome.winners))
-        k += 1
+    for k in range((end - start) // step + 1):
+        s = start + k * step
+        scaled = {c: base[c] * s.denominator + slope[c] * s.numerator for c in base}
+        _, _, winners = _runoff(profile.candidates, scaled, table)
+        points.append((s, winners))
     return points

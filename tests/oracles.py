@@ -9,8 +9,16 @@ plain tuple:
 """
 
 import random
+from fractions import Fraction
 
-from ballotlab import CondensedProfile, ParseError, RankedBallot, classify_ballot, condense
+from ballotlab import (
+    CondensedProfile,
+    DecisiveTieError,
+    ParseError,
+    RankedBallot,
+    classify_ballot,
+    condense,
+)
 from ballotlab.core import is_write_in, validate_roster
 
 
@@ -136,6 +144,75 @@ def brute_star_runoff(profile: CondensedProfile, stars: dict, a: str, b: str):
         elif sa > 0:
             no_pref += 1
     return votes_a, votes_b, no_pref
+
+
+def brute_star(profile: CondensedProfile, stars: dict):
+    """STAR outcome from per-ballot scores and runoffs.
+
+    Returns ``(scores, finalists, (votes_a, votes_b, no_preference),
+    winners)``; score-round ties raise :class:`DecisiveTieError` with the
+    same message and ``tied`` as :func:`ballotlab.evaluate_star`.
+    """
+    scores = brute_star_scores(profile, stars)
+    roster = profile.candidates
+    if len(roster) == 2:
+        finalists = roster
+    else:
+        ordered = sorted(roster, key=lambda c: -scores[c])
+        top, mid, low = (scores[c] for c in ordered)
+        if top == mid == low:
+            raise DecisiveTieError(
+                "all three candidates tied in the score round", tied=tuple(ordered)
+            )
+        if mid == low:
+            x, y = ordered[1], ordered[2]
+            vx, vy, _ = brute_star_runoff(profile, stars, x, y)
+            if vx == vy:
+                raise DecisiveTieError(
+                    f"score and head-to-head both tie {x} with {y} for the second "
+                    "runoff spot",
+                    tied=(x, y),
+                )
+            ordered[1] = x if vx > vy else y
+        finalists = tuple(c for c in roster if c in ordered[:2])
+    a, b = finalists
+    runoff = brute_star_runoff(profile, stars, a, b)
+    winners = (a,) if runoff[0] > runoff[1] else (b,) if runoff[1] > runoff[0] else finalists
+    return scores, finalists, runoff, winners
+
+
+def per_point_sweep(profile: CondensedProfile, evaluate, scenario, step, start, end):
+    """Winners from a full evaluation of a uniform scenario at every grid point.
+
+    ``evaluate``/``scenario`` are :func:`ballotlab.evaluate_approval` and
+    :class:`ballotlab.ApprovalScenario`, or the STAR pair; sweeps ran this
+    way before they were computed in closed form.  The grid must be valid.
+    """
+    points = []
+    k = 0
+    while (t := start + k * step) <= end:
+        points.append((t, evaluate(profile, scenario.uniform(profile, t)).winners))
+        k += 1
+    return points
+
+
+def scan_star_threshold(profile: CondensedProfile, guaranteed: str, rival: str):
+    """First hundredth in [1, 4] at which ``guaranteed`` beats ``rival``'s maximum.
+
+    Scores come from per-ballot enumeration at 1 and 4 stars (they are
+    affine in a uniform rating); returns ``(stars, achieved, rival_maximum)``
+    or ``None`` when no rating on the 301-point grid suffices.
+    """
+    groups = [(a, b) for a in profile.candidates for b in profile.candidates if a != b]
+    at_1 = brute_star_scores(profile, {g: 1 for g in groups})
+    at_4 = brute_star_scores(profile, {g: 4 for g in groups})
+    slope = Fraction(at_4[guaranteed] - at_1[guaranteed], 3)
+    for hundredths in range(100, 401):
+        s = Fraction(hundredths, 100)
+        achieved = at_1[guaranteed] + (s - 1) * slope
+        if achieved > at_4[rival]:
+            return s, achieved, at_4[rival]
+    return None
 
 
 _PATTERNS_3 = (

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -45,6 +46,20 @@ class TestDispatchAndErrors:
         code, _, err = invoke(capsys, "irv", str(path))
         assert code == 1
         assert "tie" in err
+
+    @pytest.mark.parametrize("command", ["irv", "squeeze"])
+    @pytest.mark.parametrize("name, content", [
+        ("overvotes.json", '{"candidates": ["A", "B", "C"], "ballots": '
+                           '[[["A", "B"], [], []], [["A", "B", "C"], [], []]]}'),
+        ("overvotes.csv", "pattern,count\nover2:A+B,3\nbullet:A,0\nbullet:B,0\nbullet:C,0\n"),
+    ], ids=["raw", "condensed"])
+    def test_no_valid_ranked_ballot_is_domain_error(self, capsys, tmp_path, command, name, content):
+        path = tmp_path / name
+        path.write_text(content)
+        code, out, err = invoke(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: no valid ranked ballots to tabulate\n"
 
     def test_unattainable_threshold_is_domain_error(self, capsys, fixture):
         code, _, err = invoke(
@@ -249,3 +264,46 @@ class TestDeterminism:
         second = invoke(capsys, "irv", fixture)
         assert first == second
         assert "sha256=" in first[1]
+
+
+# sha256 of the stdout of model commands on the fixture, recorded before
+# sweeps and the STAR threshold were computed in closed form.  Table output
+# ends in a provenance line carrying the argv and the package version.
+MODEL_COMMAND_DIGESTS = {
+    ("approval sweep --grid 0:1:0.0001", "table"):
+        "507e5de2e5d7d3e4beb32ee93da5ba19d1f8b1efb67041e50ae5b41bacd484bc",
+    ("approval sweep --grid 0:1:0.0001", "csv"):
+        "996812b3be755080ce484e1293fd547405f4edbc67a000612e8a530fa4779937",
+    ("approval sweep --grid 0:1:0.0001", "json-lines"):
+        "e7639f6799211396605376e4b88623025f0b04dc985ace19b46f370480bc2127",
+    ("star sweep", "table"):
+        "467fd936f15b6b286be80cc3e6358b8de53d474e9f22175f77f643650823dafd",
+    ("star sweep", "csv"):
+        "162b345bfe378b80fe96396506c89c1a176556678bdd96e738555744bbf9beca",
+    ("star sweep", "json-lines"):
+        "f55e87ddf8d8e9677cbbaf97568e1d8a37d3a144f03bd93c56d905b64b99dd40",
+    ("approval threshold --riser Begich --leader Peltola", "table"):
+        "905f1a8af18928f5dafaf384839255cb2c66b07d9e5d3c12f3fe501f7d44857c",
+    ("approval threshold --riser Begich --leader Peltola", "csv"):
+        "d81d6c89d1b7b7aad91950a3290d9f8a0f3477ebcf8cae77559405a1b9c3436c",
+    ("approval threshold --riser Begich --leader Peltola", "json-lines"):
+        "15e5557667a3c65c8e6c0c143f9f1390d988ed1d42a60508a83ab449a0a80022",
+    ("star threshold --guaranteed Begich --rival Palin", "table"):
+        "c572db942490c0e89432594ff442e833b03e4e86e1865b948d8a0360f6df7fca",
+    ("star threshold --guaranteed Begich --rival Palin", "csv"):
+        "10962b53755e15ceb11c87eba2da94f523628aad5cc25b67cf8d1016b01a9378",
+    ("star threshold --guaranteed Begich --rival Palin", "json-lines"):
+        "044d72b64e16272c3f7bc4fcf63b666ed82073328f00caab3c545a30c135e340",
+}
+
+
+@pytest.mark.parametrize("command, fmt", MODEL_COMMAND_DIGESTS)
+def test_model_command_output_is_unchanged(capsysbinary, monkeypatch, alaska_csv, command, fmt):
+    # Run from the repository root so the provenance line names the fixture
+    # by the same relative path as when the digests were recorded.
+    monkeypatch.chdir(alaska_csv.parent.parent)
+    model, sub, *flags = command.split()
+    argv = [model, sub, "fixtures/alaska_special_2022.condensed.csv", *flags, "--format", fmt]
+    assert run(argv) == 0
+    digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    assert digest == MODEL_COMMAND_DIGESTS[(command, fmt)]

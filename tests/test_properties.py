@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from ballotlab import (
     MalformedBallotError,
     ParseError,
     StarScenario,
+    UnattainableError,
     approval_range,
     condense,
     condorcet_winner_loser,
@@ -24,12 +26,23 @@ from ballotlab import (
     parse_condensed,
     parse_raw,
     star_range,
+    sweep_star,
+    sweep_uniform,
     tabulate_irv,
+    uniform_star_threshold,
     uniform_threshold,
     write_condensed,
 )
 
-from .oracles import brute_approval, brute_pairwise, brute_star_scores, per_ballot_ingest
+from .oracles import (
+    brute_approval,
+    brute_pairwise,
+    brute_star,
+    brute_star_scores,
+    per_ballot_ingest,
+    per_point_sweep,
+    scan_star_threshold,
+)
 
 ABC = ("A", "B", "C")
 GROUPS = tuple((a, b) for a in ABC for b in ABC if a != b)
@@ -53,6 +66,31 @@ def profiles(draw, allow_overvotes: bool = True, min_ranked: int = 0):
 
 rates = st.fractions(min_value=0, max_value=1, max_denominator=50)
 star_ratings = st.integers(100, 400).map(lambda k: Fraction(k, 100))
+
+
+@st.composite
+def approval_grids(draw):
+    """``(step, start, end)`` inside [0, 1], at most 41 points."""
+    d = draw(st.integers(1, 40))
+    step = Fraction(draw(st.integers(1, d)), d)
+    start, end = sorted((draw(rates), draw(rates)))
+    return step, start, end
+
+
+@st.composite
+def star_grids(draw):
+    """``(step, start, end)`` in whole hundredths inside [1, 4]."""
+    step = Fraction(draw(st.integers(1, 300)), 100)
+    start, end = sorted((draw(star_ratings), draw(star_ratings)))
+    return step, start, end
+
+
+def _points_or_error(sweep):
+    try:
+        return sweep()
+    except DecisiveTieError as exc:
+        return type(exc), str(exc), exc.tied
+
 
 names = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_",
@@ -350,3 +388,55 @@ class TestStarProperties:
         big_outcome = evaluate_star(big, StarScenario.uniform(big, s))
         assert small_outcome.finalists == big_outcome.finalists
         assert small_outcome.winners == big_outcome.winners
+
+
+class TestClosedFormModels:
+    """Closed-form sweeps and thresholds against per-point evaluation."""
+
+    @given(profiles(), approval_grids())
+    def test_approval_sweep_matches_per_point_evaluation(self, profile, grid):
+        step, start, end = grid
+        assert sweep_uniform(profile, step, start=start, end=end) == per_point_sweep(
+            profile, evaluate_approval, ApprovalScenario, step, start, end
+        )
+
+    @given(profiles(), star_grids())
+    def test_star_sweep_matches_per_point_evaluation(self, profile, grid):
+        # Ties are common with counts of 0-25, so this also checks that the
+        # same error, message and tied set come up at the same first point.
+        step, start, end = grid
+        assert _points_or_error(
+            lambda: sweep_star(profile, step, start=start, end=end)
+        ) == _points_or_error(
+            lambda: per_point_sweep(profile, evaluate_star, StarScenario, step, start, end)
+        )
+
+    @given(profiles(), st.permutations(ABC))
+    def test_star_threshold_matches_grid_scan(self, profile, order):
+        guaranteed, rival, _ = order
+        expected = scan_star_threshold(profile, guaranteed, rival)
+        if expected is None:
+            with pytest.raises(UnattainableError, match="even at 4 stars"):
+                uniform_star_threshold(profile, guaranteed, rival)
+            return
+        result = uniform_star_threshold(profile, guaranteed, rival)
+        assert (result.stars, result.achieved_score, result.rival_maximum) == expected
+
+    @given(profiles(), st.tuples(*(star_ratings for _ in GROUPS)))
+    def test_star_outcome_matches_per_ballot_enumeration(self, profile, ratings):
+        stars = dict(zip(GROUPS, ratings))
+        try:
+            expected = brute_star(profile, stars)
+        except DecisiveTieError as exc:
+            with pytest.raises(DecisiveTieError) as raised:
+                evaluate_star(profile, StarScenario(stars))
+            assert (str(raised.value), raised.value.tied) == (str(exc), exc.tied)
+            return
+        outcome = evaluate_star(profile, StarScenario(stars))
+        a, b = outcome.finalists
+        assert (
+            outcome.scores,
+            outcome.finalists,
+            (outcome.runoff_tallies[a], outcome.runoff_tallies[b], outcome.runoff_no_preference),
+            outcome.winners,
+        ) == expected

@@ -13,6 +13,8 @@ from ballotlab import (
     uniform_star_threshold,
 )
 
+from .oracles import per_point_sweep
+
 ABC = ("A", "B", "C")
 
 
@@ -147,6 +149,13 @@ class TestSweep:
         profile = CondensedProfile(ABC, {"A": 3, "B": 2, "C": 1}, {}, {})
         points = sweep_star(profile, 1)
         assert [w for _, w in points] == [("A",)] * 4
+
+    def test_two_candidate_profile(self):
+        # B outscores A above 2.5 stars, but A wins every runoff 3-2.
+        profile = CondensedProfile(("A", "B"), {"A": 1, "B": 2}, {("A", "B"): 2}, {})
+        points = sweep_star(profile, Fraction(3, 2))
+        assert points == [(1, ("A",)), (Fraction(5, 2), ("A",)), (4, ("A",))]
+        assert points == per_point_sweep(profile, evaluate_star, StarScenario, Fraction(3, 2), 1, 4)
 
     def test_grid_validation(self, alaska_profile):
         with pytest.raises(ValueError):
