@@ -5,30 +5,19 @@ CSV), tabulates instant-runoff rounds with transfers and exhaustion,
 computes head-to-head Condorcet results, and evaluates parameterized
 approval- and STAR-voting counterfactual models in exact rational
 arithmetic.
+
+The model modules (``irv``, ``condorcet``, ``approval``, ``star``) are
+registered in ``sys.modules`` at import but execute on first attribute
+access, so a command-line process runs only the model it needs.  Their
+public names are served from here on demand and behave exactly like
+eager re-exports.
 """
 
 __version__ = "1.0.0"
 
-from .approval import (
-    ApprovalOutcome,
-    ApprovalRange,
-    ApprovalScenario,
-    approval_range,
-    evaluate_approval,
-    min_second_votes_to_clinch,
-    sweep_uniform,
-    uniform_threshold,
-)
-from .condorcet import (
-    INCLUDE_TIES,
-    RANKED_ONLY,
-    CenterSqueeze,
-    CondorcetReport,
-    PairwiseTally,
-    condorcet_winner_loser,
-    detect_center_squeeze,
-    pairwise_tallies,
-)
+import importlib.util as _importlib_util
+import sys as _sys
+
 from .core import (
     WRITE_IN_PREFIX,
     BallotClass,
@@ -56,17 +45,71 @@ from .ingest import (
     parse_raw,
     write_condensed,
 )
-from .irv import IrvOutcome, IrvRound, RoundShares, irv_percentages, tabulate_irv
-from .star import (
-    StarOutcome,
-    StarRange,
-    StarScenario,
-    StarThreshold,
-    evaluate_star,
-    star_range,
-    sweep_star,
-    uniform_star_threshold,
-)
+
+_LAZY_EXPORTS = {
+    "irv": ("IrvOutcome", "IrvRound", "RoundShares", "irv_percentages", "tabulate_irv"),
+    "condorcet": (
+        "INCLUDE_TIES",
+        "RANKED_ONLY",
+        "CenterSqueeze",
+        "CondorcetReport",
+        "PairwiseTally",
+        "condorcet_winner_loser",
+        "detect_center_squeeze",
+        "pairwise_tallies",
+    ),
+    "approval": (
+        "ApprovalOutcome",
+        "ApprovalRange",
+        "ApprovalScenario",
+        "approval_range",
+        "evaluate_approval",
+        "min_second_votes_to_clinch",
+        "sweep_uniform",
+        "uniform_threshold",
+    ),
+    "star": (
+        "StarOutcome",
+        "StarRange",
+        "StarScenario",
+        "StarThreshold",
+        "evaluate_star",
+        "star_range",
+        "sweep_star",
+        "uniform_star_threshold",
+    ),
+}
+# Public name -> the lazily loaded submodule that defines it.
+_DEFINED_IN = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}
+
+
+def _register_lazy(name: str):
+    """Put ``ballotlab.<name>`` in ``sys.modules``; its code runs on first attribute access."""
+    spec = _importlib_util.find_spec(f"{__name__}.{name}")
+    spec.loader = _importlib_util.LazyLoader(spec.loader)
+    module = _importlib_util.module_from_spec(spec)
+    _sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+irv = _register_lazy("irv")
+condorcet = _register_lazy("condorcet")
+approval = _register_lazy("approval")
+star = _register_lazy("star")
+
+
+def __getattr__(name: str):
+    try:
+        module = _DEFINED_IN[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(globals()[module], name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_DEFINED_IN})
+
 
 __all__ = [
     "__version__",

@@ -11,8 +11,10 @@ rounding happens only at display time.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .core import CondensedProfile
 from .errors import UnattainableError
@@ -191,8 +193,9 @@ def sweep_uniform(
 
     Closed form: at rate ``p = n/d`` each candidate scores ``base + slope
     * p`` (see :func:`score_lines`), so the winners are the candidates,
-    in roster order, with the highest integer ``base * d + slope * n``.
-    The lines are computed once per call, whatever the grid size.
+    in roster order, with the highest integer ``base * d + slope * n``
+    (see :func:`grid_scores`).  The lines are computed once per call,
+    whatever the grid size.
     """
     step = exact_rational(grid_step, "grid step")
     if not 0 < step <= 1:
@@ -204,9 +207,25 @@ def sweep_uniform(
 
     _require_three(profile)
     base, slope = score_lines(profile, 1)
-    points: list[tuple[Fraction, tuple[str, ...]]] = []
-    for k in range((end - start) // step + 1):
-        p = start + k * step
-        scaled = {c: base[c] * p.denominator + slope[c] * p.numerator for c in base}
-        points.append((p, _winners(scaled, profile.candidates)))
-    return points
+    return [
+        (Fraction(n, d), _winners(scaled, profile.candidates))
+        for n, d, scaled in grid_scores(base, slope, start, end, step)
+    ]
+
+
+def grid_scores(base: dict[str, int], slope: dict[str, int], start: Fraction, end: Fraction,
+                step: Fraction) -> Iterator[tuple[int, int, dict[str, int]]]:
+    """Yield ``(n, d, scores)`` per grid point ``t = n/d`` from ``start`` to ``end``.
+
+    Every point shares the denominator ``d = lcm(start.denominator,
+    step.denominator)``, so stepping ``n`` is integer addition, and
+    ``scores[c] = base[c] * d + slope[c] * n`` is ``d`` times the score
+    at ``t``: the same order and the same ties.
+    """
+    d = lcm(start.denominator, step.denominator)
+    n = start.numerator * (d // start.denominator)
+    n_step = step.numerator * (d // step.denominator)
+    scaled_base = {c: b * d for c, b in base.items()}
+    for _ in range((end - start) // step + 1):
+        yield n, d, {c: b + slope[c] * n for c, b in scaled_base.items()}
+        n += n_step

@@ -8,34 +8,22 @@ Exit codes: 0 success; 1 domain error (decisive tie, unattainable
 threshold, no valid ranked ballot to tabulate); 2 usage or parse
 error.  Machine output formats are byte-deterministic; the table
 format appends a provenance footer.
+
+The model modules are imported lazily (see the package docstring), so a
+command executes only the model it calls, e.g. ``irv`` runs none of the
+approval, STAR or Condorcet code; ``hashlib`` is imported only for the
+table footer's digest.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from . import __version__
-from .approval import (
-    ApprovalScenario,
-    Group,
-    approval_range,
-    evaluate_approval,
-    min_second_votes_to_clinch,
-    sweep_uniform,
-    uniform_threshold,
-)
-from .condorcet import (
-    INCLUDE_TIES,
-    RANKED_ONLY,
-    condorcet_winner_loser,
-    detect_center_squeeze,
-    pairwise_tallies,
-)
+from . import __version__, approval, condorcet, irv, star
 from .core import CondensedProfile
 from .errors import (
     DecisiveTieError,
@@ -45,7 +33,6 @@ from .errors import (
     UnattainableError,
 )
 from .ingest import ingest, parse_condensed, parse_raw, write_condensed
-from .irv import irv_percentages, tabulate_irv
 from .rational import decimal_string, exact_rational, fraction_token
 from .report import (
     FORMATS,
@@ -55,13 +42,6 @@ from .report import (
     Report,
     emit_range_plot_data,
     emit_table,
-)
-from .star import (
-    StarScenario,
-    evaluate_star,
-    star_range,
-    sweep_star,
-    uniform_star_threshold,
 )
 
 
@@ -97,14 +77,14 @@ def run(argv: Sequence[str]) -> int:
 # -- argument plumbing ---------------------------------------------------
 
 
-def _parse_group(text: str) -> Group:
+def _parse_group(text: str) -> approval.Group:
     first, sep, second = text.partition(">")
     if not sep or not first or not second:
         raise ValueError(f"group must look like First>Second, got {text!r}")
     return first, second
 
 
-def _parse_group_assignment(text: str) -> tuple[Group, str]:
+def _parse_group_assignment(text: str) -> tuple[approval.Group, str]:
     head, sep, value = text.partition("=")
     if not sep or not value:
         raise ValueError(f"expected First>Second=value, got {text!r}")
@@ -148,6 +128,8 @@ def _load_profile(args: argparse.Namespace) -> tuple[CondensedProfile, bytes]:
 
 
 def _provenance(args: argparse.Namespace, argv: list[str], data: bytes) -> str:
+    import hashlib  # only table output carries the digest
+
     digest = hashlib.sha256(data).hexdigest()
     return f"# input sha256={digest} command={' '.join(argv)} version={__version__}"
 
@@ -163,8 +145,8 @@ def _names(winners: tuple[str, ...]) -> str:
 
 
 def _scenario_rates(args: argparse.Namespace, profile: CondensedProfile,
-                    uniform_flag: str, group_flag: str) -> dict[Group, object]:
-    rates: dict[Group, object] = {}
+                    uniform_flag: str, group_flag: str) -> dict[approval.Group, object]:
+    rates: dict[approval.Group, object] = {}
     uniform = getattr(args, uniform_flag)
     if uniform is not None:
         value = exact_rational(uniform, f"--{uniform_flag}")
@@ -184,8 +166,8 @@ def _cmd_ingest(args: argparse.Namespace, argv: list[str]) -> bytes:
 
 def _cmd_irv(args: argparse.Namespace, argv: list[str]) -> bytes:
     profile, data = _load_profile(args)
-    outcome = tabulate_irv(profile)
-    shares = irv_percentages(outcome)
+    outcome = irv.tabulate_irv(profile)
+    shares = irv.irv_percentages(outcome)
 
     report = Report(
         title="Instant-runoff rounds",
@@ -229,7 +211,7 @@ def _cmd_irv(args: argparse.Namespace, argv: list[str]) -> bytes:
 
 def _cmd_pairwise(args: argparse.Namespace, argv: list[str]) -> bytes:
     profile, data = _load_profile(args)
-    tally = pairwise_tallies(profile, args.basis)
+    tally = condorcet.pairwise_tallies(profile, args.basis)
 
     report = Report(
         title=f"Head-to-head tallies ({args.basis})",
@@ -258,7 +240,9 @@ def _cmd_pairwise(args: argparse.Namespace, argv: list[str]) -> bytes:
 
 def _cmd_condorcet(args: argparse.Namespace, argv: list[str]) -> bytes:
     profile, data = _load_profile(args)
-    result = condorcet_winner_loser(pairwise_tallies(profile, RANKED_ONLY))
+    result = condorcet.condorcet_winner_loser(
+        condorcet.pairwise_tallies(profile, condorcet.RANKED_ONLY)
+    )
 
     report = Report(
         title="Condorcet analysis (ranked-only)",
@@ -275,7 +259,7 @@ def _cmd_condorcet(args: argparse.Namespace, argv: list[str]) -> bytes:
 
 def _cmd_squeeze(args: argparse.Namespace, argv: list[str]) -> bytes:
     profile, data = _load_profile(args)
-    diag = detect_center_squeeze(profile)
+    diag = condorcet.detect_center_squeeze(profile)
 
     report = Report(
         title="Center-squeeze diagnostic",
@@ -305,7 +289,7 @@ def _range_report(title: str, minimum: dict[str, int], maximum: dict[str, int],
 
 def _cmd_approval_range(args: argparse.Namespace, argv: list[str]) -> bytes:
     profile, data = _load_profile(args)
-    rng = approval_range(profile)
+    rng = approval.approval_range(profile)
     if args.plot_data:
         return emit_range_plot_data(rng.minimum, profile, star=False)
     report = _range_report("Approval voting: possible vote ranges", rng.minimum, rng.maximum, profile)
@@ -314,8 +298,10 @@ def _cmd_approval_range(args: argparse.Namespace, argv: list[str]) -> bytes:
 
 def _cmd_approval_eval(args: argparse.Namespace, argv: list[str]) -> bytes:
     profile, data = _load_profile(args)
-    scenario = ApprovalScenario.for_profile(profile, _scenario_rates(args, profile, "p", "p_group"))
-    outcome = evaluate_approval(profile, scenario)
+    scenario = approval.ApprovalScenario.for_profile(
+        profile, _scenario_rates(args, profile, "p", "p_group")
+    )
+    outcome = approval.evaluate_approval(profile, scenario)
 
     report = Report(
         title="Approval voting: scenario outcome",
@@ -331,13 +317,13 @@ def _cmd_approval_eval(args: argparse.Namespace, argv: list[str]) -> bytes:
 
 def _cmd_approval_threshold(args: argparse.Namespace, argv: list[str]) -> bytes:
     profile, data = _load_profile(args)
-    p = uniform_threshold(profile, args.riser, args.leader)
+    p = approval.uniform_threshold(profile, args.riser, args.leader)
     if p is None:
         raise UnattainableError(
             f"{args.riser} cannot catch {args.leader} at any uniform "
             "second-choice approval rate in [0, 1]"
         )
-    outcome = evaluate_approval(profile, ApprovalScenario.uniform(profile, p))
+    outcome = approval.evaluate_approval(profile, approval.ApprovalScenario.uniform(profile, p))
 
     report = Report(
         title="Approval voting: uniform crossover threshold",
@@ -358,8 +344,8 @@ def _cmd_approval_threshold(args: argparse.Namespace, argv: list[str]) -> bytes:
 
 def _cmd_approval_clinch(args: argparse.Namespace, argv: list[str]) -> bytes:
     profile, data = _load_profile(args)
-    needed = min_second_votes_to_clinch(profile, args.candidate, args.group)
-    rng = approval_range(profile)
+    needed = approval.min_second_votes_to_clinch(profile, args.candidate, args.group)
+    rng = approval.approval_range(profile)
 
     report = Report(
         title="Approval voting: clinch requirement",
@@ -380,7 +366,7 @@ def _cmd_approval_clinch(args: argparse.Namespace, argv: list[str]) -> bytes:
 def _cmd_approval_sweep(args: argparse.Namespace, argv: list[str]) -> bytes:
     profile, data = _load_profile(args)
     start, end, step = args.grid
-    points = sweep_uniform(profile, step, start=start, end=end)
+    points = approval.sweep_uniform(profile, step, start=start, end=end)
 
     report = Report(
         title="Approval voting: uniform-rate sweep",
@@ -393,7 +379,7 @@ def _cmd_approval_sweep(args: argparse.Namespace, argv: list[str]) -> bytes:
 
 def _cmd_star_range(args: argparse.Namespace, argv: list[str]) -> bytes:
     profile, data = _load_profile(args)
-    rng = star_range(profile)
+    rng = star.star_range(profile)
     if args.plot_data:
         return emit_range_plot_data(rng.minimum, profile, star=True)
     report = _range_report("STAR voting: possible score ranges", rng.minimum, rng.maximum, profile)
@@ -402,8 +388,8 @@ def _cmd_star_range(args: argparse.Namespace, argv: list[str]) -> bytes:
 
 def _cmd_star_eval(args: argparse.Namespace, argv: list[str]) -> bytes:
     profile, data = _load_profile(args)
-    scenario = StarScenario.for_profile(profile, _scenario_rates(args, profile, "s", "s_group"))
-    outcome = evaluate_star(profile, scenario)
+    scenario = star.StarScenario.for_profile(profile, _scenario_rates(args, profile, "s", "s_group"))
+    outcome = star.evaluate_star(profile, scenario)
 
     report = Report(
         title="STAR voting: scenario outcome",
@@ -421,7 +407,7 @@ def _cmd_star_eval(args: argparse.Namespace, argv: list[str]) -> bytes:
 
 def _cmd_star_threshold(args: argparse.Namespace, argv: list[str]) -> bytes:
     profile, data = _load_profile(args)
-    result = uniform_star_threshold(profile, args.guaranteed, args.rival)
+    result = star.uniform_star_threshold(profile, args.guaranteed, args.rival)
 
     report = Report(
         title="STAR voting: guaranteed-berth threshold",
@@ -442,7 +428,7 @@ def _cmd_star_threshold(args: argparse.Namespace, argv: list[str]) -> bytes:
 def _cmd_star_sweep(args: argparse.Namespace, argv: list[str]) -> bytes:
     profile, data = _load_profile(args)
     start, end, step = args.grid
-    points = sweep_star(profile, step, start=start, end=end)
+    points = star.sweep_star(profile, step, start=start, end=end)
 
     report = Report(
         title="STAR voting: uniform-rating sweep",
@@ -476,7 +462,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pairwise", help="head-to-head tallies for every candidate pair")
     _add_io_arguments(p)
     p.add_argument(
-        "--basis", choices=(RANKED_ONLY, INCLUDE_TIES), default=RANKED_ONLY,
+        # Literal values of condorcet.RANKED_ONLY and INCLUDE_TIES: building
+        # the parser must not load the condorcet module.
+        "--basis", choices=("ranked-only", "include-ties"), default="ranked-only",
         help="whether two-way top overvotes count toward the pair members",
     )
     p.set_defaults(handler=_cmd_pairwise)
@@ -489,8 +477,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_io_arguments(p)
     p.set_defaults(handler=_cmd_squeeze)
 
-    approval = sub.add_parser("approval", help="approval-voting counterfactual model")
-    asub = approval.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
+    p = sub.add_parser("approval", help="approval-voting counterfactual model")
+    asub = p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
 
     p = asub.add_parser("range", help="minimum/maximum possible votes per candidate")
     _add_io_arguments(p)
@@ -524,8 +512,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="START:END:STEP", help="default 0:1:0.01")
     p.set_defaults(handler=_cmd_approval_sweep)
 
-    star = sub.add_parser("star", help="STAR-voting counterfactual model")
-    ssub = star.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
+    p = sub.add_parser("star", help="STAR-voting counterfactual model")
+    ssub = p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
 
     p = ssub.add_parser("range", help="minimum/maximum possible scores per candidate")
     _add_io_arguments(p)

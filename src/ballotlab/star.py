@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .approval import Group, score_lines
+from .approval import Group, grid_scores, score_lines
 from .core import CondensedProfile
 from .errors import DecisiveTieError, UnattainableError
 from .rational import bounded_rational, exact_rational
@@ -293,9 +293,7 @@ def sweep_star(
     base, slope = score_lines(profile, 5)
     table = _runoff_table(profile)
     points: list[tuple[Fraction, tuple[str, ...]]] = []
-    for k in range((end - start) // step + 1):
-        s = start + k * step
-        scaled = {c: base[c] * s.denominator + slope[c] * s.numerator for c in base}
+    for n, d, scaled in grid_scores(base, slope, start, end, step):
         _, _, winners = _runoff(profile.candidates, scaled, table)
-        points.append((s, winners))
+        points.append((Fraction(n, d), winners))
     return points

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -307,3 +310,81 @@ def test_model_command_output_is_unchanged(capsysbinary, monkeypatch, alaska_csv
     assert run(argv) == 0
     digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
     assert digest == MODEL_COMMAND_DIGESTS[(command, fmt)]
+
+
+# -- fresh-interpreter checks ----------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+LAYERS = ("approval", "cli", "condorcet", "core", "ingest", "irv", "rational", "report", "star")
+
+# Runs in a new interpreter: records every module body that executes
+# (the "exec" audit event), imports the CLI, runs one command with its
+# output discarded, and prints what ran as JSON.
+AUDIT_SCRIPT = """
+import io, json, os, sys
+
+executed = []
+sys.addaudithook(lambda event, args: event == "exec" and executed.append(args[0].co_filename))
+
+import ballotlab.cli
+
+package = os.path.dirname(ballotlab.cli.__file__)
+def ran():
+    return sorted({os.path.basename(f) for f in executed if os.path.dirname(f) == package})
+
+after_import = ran()
+loaded = sorted(m for m in sys.modules if m.startswith("ballotlab."))
+sys.stdout = io.TextIOWrapper(io.BytesIO())
+code = ballotlab.cli.run(sys.argv[1:])
+sys.__stdout__.write(json.dumps({
+    "code": code,
+    "after_import": after_import,
+    "loaded": loaded,
+    "after_run": ran(),
+    "executed": sorted({os.path.basename(f) for f in executed}),
+}))
+"""
+
+
+def _child_env() -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
+
+
+def _audit(*argv: str) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", AUDIT_SCRIPT, *argv],
+        env=_child_env(), capture_output=True, check=True, timeout=60,
+    )
+    return json.loads(proc.stdout)
+
+
+class TestLazyModelModules:
+    @pytest.mark.parametrize("command, flags, absent", [
+        ("irv", [], {"approval.py", "star.py", "condorcet.py"}),
+        ("approval sweep", ["--format", "csv"], {"star.py", "condorcet.py", "irv.py", "hashlib.py"}),
+        ("star eval", [], {"condorcet.py", "irv.py"}),
+    ])
+    def test_command_executes_only_the_modules_it_uses(self, alaska_csv, command, flags, absent):
+        result = _audit(*command.split(), str(alaska_csv), *flags)
+        assert result["code"] == 0
+        assert not absent & set(result["executed"])
+        model = command.split()[0]
+        assert {f"{model}.py", "cli.py", "core.py"} <= set(result["after_run"])
+
+    def test_import_runs_no_model_module_yet_registers_every_layer(self, alaska_csv):
+        result = _audit("ingest", str(alaska_csv))
+        assert not {"approval.py", "condorcet.py", "irv.py", "star.py"} & set(result["after_import"])
+        assert {f"ballotlab.{m}" for m in LAYERS} <= set(result["loaded"])
+
+    def test_module_entry_point_matches_in_process_run(self, capsysbinary, alaska_csv):
+        argv = ["irv", str(alaska_csv), "--format", "csv"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ballotlab", *argv],
+            env=_child_env(), capture_output=True, check=True, timeout=60,
+        )
+        assert run(argv) == 0
+        captured = capsysbinary.readouterr()
+        assert proc.stdout == captured.out
+        assert proc.stderr == captured.err == b""
