@@ -163,13 +163,17 @@ def min_second_votes_to_clinch(profile: CondensedProfile, candidate: str, from_g
 
     The target is to strictly exceed every rival's maximum possible
     count.  Raises :class:`UnattainableError` (carrying the required
-    number) when the group is too small to supply it.
+    number) when the group is too small to supply it, and ``ValueError``
+    when the group does not rank ``candidate`` second or is not a
+    (first, second) pair of distinct candidates on the roster.
     """
     if from_group[1] != candidate:
         raise ValueError(
             f"group {from_group[0]}>{from_group[1]} does not rank {candidate!r} second"
         )
     rng = approval_range(profile)
+    if from_group not in profile.ranking_groups():
+        raise ValueError(f"unknown group {from_group[0]}>{from_group[1]}")
     target = max(n for c, n in rng.maximum.items() if c != candidate)
     needed = max(target - rng.minimum[candidate] + 1, 0)
     group_size = profile.full_count(*from_group)

@@ -145,6 +145,15 @@ class TestClinch:
         with pytest.raises(ValueError):
             min_second_votes_to_clinch(alaska_profile, "Begich", ("Begich", "Palin"))
 
+    @pytest.mark.parametrize("candidate, group", [
+        ("Nobody", ("Begich", "Nobody")),
+        ("Begich", ("Nobody", "Begich")),
+        ("Begich", ("Begich", "Begich")),
+    ])
+    def test_group_must_be_on_the_roster(self, alaska_profile, candidate, group):
+        with pytest.raises(ValueError, match=f"^unknown group {group[0]}>{group[1]}$"):
+            min_second_votes_to_clinch(alaska_profile, candidate, group)
+
 
 class TestSweep:
     def test_endpoints_only(self, alaska_profile):

@@ -85,6 +85,43 @@ class TestDispatchAndErrors:
         assert out == ""
         assert target.read_text().startswith("candidate,min,max")
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_is_reported_error(self, capsys, fixture, tmp_path, where):
+        target = tmp_path / "missing" / "x.txt" if where == "missing-dir" else tmp_path
+        code, out, err = invoke(capsys, "irv", fixture, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["approval", "sweep", "--grid", "0:1"],
+         "argument --grid: grid must look like start:end:step, got '0:1'"),
+        (["approval", "sweep", "--grid", "0:1:x"],
+         "argument --grid: grid value is not a rational number: 'x'"),
+        (["approval", "clinch", "--candidate", "Begich", "--group", "Begich"],
+         "argument --group: group must look like First>Second, got 'Begich'"),
+        (["approval", "eval", "--p-group", "foo"],
+         "argument --p-group: expected First>Second=value, got 'foo'"),
+    ])
+    def test_bad_flag_value_names_the_problem(self, capsys, fixture, argv, message):
+        code, out, err = invoke(capsys, *argv[:2], fixture, *argv[2:])
+        assert code == 2
+        assert out == ""
+        assert err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize("candidate, group", [
+        ("Nobody", "Begich>Nobody"),
+        ("Begich", "Nobody>Begich"),
+        ("Begich", "Begich>Begich"),
+    ])
+    def test_clinch_group_off_the_roster_is_usage_error(self, capsys, fixture, candidate, group):
+        code, out, err = invoke(
+            capsys, "approval", "clinch", fixture, "--candidate", candidate, "--group", group
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: unknown group {group}\n"
+
 
 def alaska_csv_bytes() -> bytes:
     from ballotlab import write_condensed
@@ -270,8 +307,11 @@ class TestDeterminism:
 
 
 # sha256 of the stdout of model commands on the fixture, recorded before
-# sweeps and the STAR threshold were computed in closed form.  Table output
-# ends in a provenance line carrying the argv and the package version.
+# sweeps and the STAR threshold were computed in closed form, and of every
+# other README command before the CLI became one command table.  The input
+# follows the command words; a ``None`` format passes no ``--format`` flag;
+# ``ingest`` reads RAW_CVR.  Table output ends in a provenance line carrying
+# the argv and the package version.
 MODEL_COMMAND_DIGESTS = {
     ("approval sweep --grid 0:1:0.0001", "table"):
         "507e5de2e5d7d3e4beb32ee93da5ba19d1f8b1efb67041e50ae5b41bacd484bc",
@@ -297,16 +337,103 @@ MODEL_COMMAND_DIGESTS = {
         "10962b53755e15ceb11c87eba2da94f523628aad5cc25b67cf8d1016b01a9378",
     ("star threshold --guaranteed Begich --rival Palin", "json-lines"):
         "044d72b64e16272c3f7bc4fcf63b666ed82073328f00caab3c545a30c135e340",
+    ("irv", "table"):
+        "ddf5dc0cf1fa87b4b175ff7bd2de21480158ad8aa68a93f666d21c002a99269b",
+    ("irv", "csv"):
+        "bfe85e7b7eb08fab724b0d6d0ed1e6d4f8e986f6dceff4b379ff87a156141b84",
+    ("irv", "json-lines"):
+        "1af30bb50f0f5e0c9debf1be1ff42db6c1ce166716db21effb8d4c2121d89181",
+    ("pairwise", "table"):
+        "9ae574db79381fdd3bb3963900aa98f8ef85d2a3d30a39cb0eddb293f88ef99f",
+    ("pairwise", "csv"):
+        "0828bcbcc055d6eaabc44e8493e412410b5b77fb6774d580aac4a1358cc01732",
+    ("pairwise", "json-lines"):
+        "b17fd3ea7bed0536f5a82454e2ce9f92845eec62fad1b53cf5c62b9fce37dc88",
+    ("pairwise --basis include-ties", "table"):
+        "c05ea099227c4d08891c64463963eed22248747d5fc054c26a8388c1d072020e",
+    ("pairwise --basis include-ties", "csv"):
+        "e541a37f12691535204aa605e8ad6acf8ae1515717fc76303a80b08e0f3a73c7",
+    ("pairwise --basis include-ties", "json-lines"):
+        "9030817f49f57ea86492755aa022de22d9aa563e479d04bbd6453eb565f8a8c6",
+    ("condorcet", "table"):
+        "eb8833e6787ae7ddb709fed4142ce5146328a14719c0f1fcb9935c321e4cc1f3",
+    ("condorcet", "csv"):
+        "fbbf93573c0fb0188552ef4bf068bfeddd119996eda3b7aa03c57b3bd61c9085",
+    ("condorcet", "json-lines"):
+        "89ba6d92d0af3da71f731d1d5b3861f730f05590e821adb6d846f7afa8065ddb",
+    ("squeeze", "table"):
+        "bcb62029d1899b18108319adf24501bd18cf2652967798ab3dbc39578a3384e0",
+    ("squeeze", "csv"):
+        "890a732fa555ab0723225184ae6feaff1667b69278940f8435eee30326e9d87d",
+    ("squeeze", "json-lines"):
+        "879563563196931da6885c9cc24b19258f2607fa7767bceda7ec1da4fb5726da",
+    ("approval range", "table"):
+        "72387ac173bb316ad9e6cc573880aad0399bd9dc27fe43ad5d445b0e9678d5f8",
+    ("approval range", "csv"):
+        "11addeacf26e0d7e6333e5c1942d15504891e54e4c5826bea838865cd7859665",
+    ("approval range", "json-lines"):
+        "3d36f96e5b97d15ba0a23a8fd4f5b9e4a81da5d6c405db4d0c018d330163a736",
+    ("approval eval --p 0.35", "table"):
+        "cb2d7cd231c6a61e3d00e9bd5d301ba29edc4807bd34cfb92cfd3feb2a3d92a0",
+    ("approval eval --p 0.35", "csv"):
+        "5c2c4efd999198e3eed2a62de7660b7595425b27aee6a0d3a232f54c8eaf5a7a",
+    ("approval eval --p 0.35", "json-lines"):
+        "cc7e8a255b790456c02e15e7122c0c41655e6f0d88985952b6aed1bba3732bf4",
+    ("approval eval --p 0 --p-group Peltola>Begich=0.9", "table"):
+        "9e2596ae08eab89bb5e4c45057ddc1f558240aea12d85bd4a5283a1b19239fad",
+    ("approval eval --p 0 --p-group Peltola>Begich=0.9", "csv"):
+        "f8abaf42a3e81c4d84b78be421cbdd6fc62d625292a9cfaf2b986be21bee90b1",
+    ("approval eval --p 0 --p-group Peltola>Begich=0.9", "json-lines"):
+        "2f4d203035e50c9a5adb79afe34ca790fe6c4b11701b46e8c9a4daf5d9779114",
+    ("approval clinch --candidate Begich --group Peltola>Begich", "table"):
+        "742464bd7d76df623304c2fd4ed44a46ccf21f3a904ec4b2f4b009f23c8c6b64",
+    ("approval clinch --candidate Begich --group Peltola>Begich", "csv"):
+        "51ce3d9a474cbaf555faa02d47d40b65d3c70d941e05ae92cf955ff2f527b03e",
+    ("approval clinch --candidate Begich --group Peltola>Begich", "json-lines"):
+        "5c1ee6afcc412682312246b6e1445338c912b9b76df1df2b76d8c4f4eaae835b",
+    ("star range", "table"):
+        "99e2623859630d7988ce411a3a047c63f9f0b9398b3c57bba377a0c81209eaa5",
+    ("star range", "csv"):
+        "868150aa8e6ba6dfd4e69ab8d567d29f1a1e46f8308b7473b1994abbf4e95913",
+    ("star range", "json-lines"):
+        "91b878ba8f609503ba738322da4ea8c1b54e16bc5a65e5e1331e0cdb66944a21",
+    ("star eval --s 1 --s-group Begich>Palin=4", "table"):
+        "10830d1f010a5ca7f4cb390ecd06ca4e41241f4826b1b740077f3dd74bec5e73",
+    ("star eval --s 1 --s-group Begich>Palin=4", "csv"):
+        "45ce65eba40834455e5f13cf500b6ef675371a52054d521ace5c670ed5fc2475",
+    ("star eval --s 1 --s-group Begich>Palin=4", "json-lines"):
+        "9e52e3aa3e912c06bed0c2d14c667c73cd12ec1969f450f35ff7048e02a2b041",
+    ("approval range --plot-data", None):
+        "a9666a7e0c681c0e3a4af42a7e9792b9c7d953797410d0b87e785ca03a709320",
+    ("star range --plot-data", None):
+        "e79a9a4d66d5472f943b9dc707e4de093f4aee9088835560dbea44c0d5b2b9dc",
+    ("ingest", None):
+        "307ace64fdda9d4cd31251e6e2e480174b55e32f75805e80ccb2a5109304cf99",
+}
+
+RAW_CVR = {
+    "candidates": ["A", "B", "C"],
+    "ballots": [
+        [["A"], ["B"], []], [["A"], [], []], [["B", "C"], [], []], [[], [], []],
+        [["C"], ["A"], []], [["B"], ["C"], ["A"]], [["A", "B", "C"], [], []],
+        [["WRITEIN:zz"], ["C"], []], [["B"], ["A", "C"], []],
+    ],
 }
 
 
 @pytest.mark.parametrize("command, fmt", MODEL_COMMAND_DIGESTS)
-def test_model_command_output_is_unchanged(capsysbinary, monkeypatch, alaska_csv, command, fmt):
+def test_model_command_output_is_unchanged(capsysbinary, monkeypatch, alaska_csv, tmp_path,
+                                           command, fmt):
     # Run from the repository root so the provenance line names the fixture
     # by the same relative path as when the digests were recorded.
     monkeypatch.chdir(alaska_csv.parent.parent)
-    model, sub, *flags = command.split()
-    argv = [model, sub, "fixtures/alaska_special_2022.condensed.csv", *flags, "--format", fmt]
+    words = command.split()
+    n = next((i for i, w in enumerate(words) if w.startswith("--")), len(words))
+    source = "fixtures/alaska_special_2022.condensed.csv"
+    if words[0] == "ingest":
+        source = tmp_path / "raw.json"
+        source.write_text(json.dumps(RAW_CVR))
+    argv = [*words[:n], str(source), *words[n:], *(["--format", fmt] if fmt else [])]
     assert run(argv) == 0
     digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
     assert digest == MODEL_COMMAND_DIGESTS[(command, fmt)]
