@@ -12,11 +12,10 @@ rounding happens only at display time.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import CondensedProfile
+from .core import CondensedProfile, Record
 from .errors import UnattainableError
 from .rational import bounded_rational, exact_rational
 
@@ -30,8 +29,7 @@ def _require_three(profile: CondensedProfile) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ApprovalScenario:
+class ApprovalScenario(Record):
     """Second-choice approval rate per full-ranking group, each in [0, 1]."""
 
     rates: dict[Group, Fraction]
@@ -53,12 +51,11 @@ class ApprovalScenario:
         groups = profile.ranking_groups()
         unknown = set(rates) - set(groups)
         if unknown:
-            raise ValueError(f"rate given for unknown group {sorted(unknown)[0]!r}")
+            raise ValueError(f"rate given for unknown group {'>'.join(min(unknown))}")
         return cls({g: rates.get(g, 0) for g in groups})
 
 
-@dataclass(frozen=True)
-class ApprovalOutcome:
+class ApprovalOutcome(Record):
     """Exact expected scores plus approvals-per-ballot diagnostics.
 
     ``winners`` lists every candidate achieving the top score (more than
@@ -75,8 +72,7 @@ class ApprovalOutcome:
     mean_approvals_all_voters: Fraction
 
 
-@dataclass(frozen=True)
-class ApprovalRange:
+class ApprovalRange(Record):
     """Vote range per candidate: everyone at rate 0 vs everyone at rate 1."""
 
     minimum: dict[str, int]

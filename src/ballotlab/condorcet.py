@@ -10,10 +10,9 @@ within the pair; all-way overvotes never contribute on either basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CondensedProfile
+from .core import CondensedProfile, Record
 from .irv import tabulate_irv
 
 RANKED_ONLY = "ranked-only"
@@ -25,8 +24,7 @@ _TOP = 0
 _SECOND = 1
 
 
-@dataclass(frozen=True)
-class PairwiseTally:
+class PairwiseTally(Record):
     """Head-to-head counts over every candidate pair.
 
     For each ordered pair ``(a, b)``, ``prefers[(a, b)]`` counts ballots
@@ -48,8 +46,7 @@ class PairwiseTally:
         return Fraction(self.prefers[(a, b)], two_way)
 
 
-@dataclass(frozen=True)
-class CondorcetReport:
+class CondorcetReport(Record):
     """Condorcet winner/loser plus the two-way share for each ordered pair."""
 
     winner: str | None
@@ -57,8 +54,7 @@ class CondorcetReport:
     margins: dict[tuple[str, str], Fraction]
 
 
-@dataclass(frozen=True)
-class CenterSqueeze:
+class CenterSqueeze(Record):
     """Whether instant-runoff counting eliminated the Condorcet winner."""
 
     squeezed: bool

@@ -8,14 +8,19 @@ candidate implied last, a top-rank overvote, or a blank.  A
 :class:`CondensedProfile` stores one count per pattern (13 integers for
 three candidates) and is the input every tabulation in this package
 runs on.
+
+Every value type of the package is a :class:`Record`, a slotted class
+that compares, hashes and reprs by value and generates no code at import.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import MalformedBallotError
+
+_set = object.__setattr__  # sets a field of an immutable record
 
 #: Marks carrying this prefix denote write-in candidates.  Write-ins are
 #: dropped during classification; everything after the prefix is opaque.
@@ -47,8 +52,62 @@ def validate_roster(candidates: Sequence[str]) -> tuple[str, ...]:
     return tuple(trimmed)
 
 
-@dataclass(frozen=True)
-class RankedBallot:
+class _RecordType(type):
+    """Turns a record class body's annotated names into its fields; see :class:`Record`."""
+
+    def __new__(mcls, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", ()))
+        namespace["_defaults"] = {f: namespace.pop(f) for f in fields if f in namespace}
+        namespace["__slots__"] = namespace["__match_args__"] = fields
+        namespace["_key"] = attrgetter(*fields) if fields else staticmethod(lambda _: ())
+        return super().__new__(mcls, name, bases, namespace)
+
+
+class Record(metaclass=_RecordType):
+    """Immutable value type over the fields its class body annotates, in order.
+
+    The fields are the ``__slots__`` and ``__match_args__``; a value the body
+    assigns to one is its default.  The constructor takes them by position
+    or name, then calls ``__post_init__``, which may normalize them with
+    ``object.__setattr__``.  Setting or deleting an attribute raises
+    :class:`AttributeError`.  Per-grid types define a faster ``__init__``.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if (len(args) > len(names) or kwargs.keys() & names[:len(args)]
+                or values.keys() != set(names)):
+            raise TypeError(f"{type(self).__name__}() takes the fields {names}")
+        for name in names:
+            _set(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class RankedBallot(Record):
     """One raw ballot: a mark set per rank position.
 
     A mark set may be empty (skipped rank) or hold several marks (an
@@ -58,20 +117,24 @@ class RankedBallot:
 
     ranks: tuple[frozenset[str], ...]
 
+    def __init__(self, ranks: tuple[frozenset[str], ...]) -> None:
+        _set(self, "ranks", ranks)
+
     @classmethod
     def from_marks(cls, ranks: Iterable[Iterable[str]]) -> "RankedBallot":
         return cls(tuple(frozenset(marks) for marks in ranks))
 
 
-@dataclass(frozen=True)
-class Bullet:
+class Bullet(Record):
     """Ballot supporting a single candidate, no further preference."""
 
     first: str
 
+    def __init__(self, first: str) -> None:
+        _set(self, "first", first)
 
-@dataclass(frozen=True)
-class Full:
+
+class Full(Record):
     """Ballot ranking a first and a distinct second choice.
 
     With three candidates the third preference is implied; with more,
@@ -81,21 +144,25 @@ class Full:
     first: str
     second: str
 
+    def __init__(self, first: str, second: str) -> None:
+        _set(self, "first", first)
+        _set(self, "second", second)
 
-@dataclass(frozen=True)
-class OvervoteTopTwo:
+
+class OvervoteTopTwo(Record):
     """Ballot giving its highest ranking to exactly two candidates."""
 
     pair: frozenset[str]
 
+    def __init__(self, pair: frozenset[str]) -> None:
+        _set(self, "pair", pair)
 
-@dataclass(frozen=True)
-class OvervoteTopAll:
+
+class OvervoteTopAll(Record):
     """Ballot giving its highest ranking to every roster candidate."""
 
 
-@dataclass(frozen=True)
-class Blank:
+class Blank(Record):
     """Ballot with no usable mark for any roster candidate."""
 
 
@@ -161,8 +228,7 @@ def classify_ballot(ballot: RankedBallot, roster: Sequence[str]) -> BallotClass:
     return Bullet(first=first)
 
 
-@dataclass(frozen=True)
-class CondensedProfile:
+class CondensedProfile(Record):
     """Counts of ballots by preference pattern for one race.
 
     Zero counts are dropped on construction, so profiles compare equal
@@ -274,33 +340,6 @@ class CondensedProfile:
         for (_, second), n in self.full.items():
             totals[second] += n
         return totals
-
-    # -- reshaping ------------------------------------------------------
-
-    def expand(self) -> Iterable[BallotClass]:
-        """Yield one pattern instance per counted ballot, roster order."""
-        for c in self.candidates:
-            yield from (Bullet(c) for _ in range(self.bullet.get(c, 0)))
-        for group in self.ranking_groups():
-            yield from (Full(*group) for _ in range(self.full.get(group, 0)))
-        for a, b in self.candidate_pairs():
-            pair = frozenset((a, b))
-            yield from (OvervoteTopTwo(pair) for _ in range(self.over2.get(pair, 0)))
-        yield from (OvervoteTopAll() for _ in range(self.over3))
-        yield from (Blank() for _ in range(self.blank_count))
-
-    def scaled(self, factor: int) -> "CondensedProfile":
-        """Profile with every count multiplied by a positive integer."""
-        if factor < 1:
-            raise ValueError("scale factor must be a positive integer")
-        return CondensedProfile(
-            candidates=self.candidates,
-            bullet={c: n * factor for c, n in self.bullet.items()},
-            full={g: n * factor for g, n in self.full.items()},
-            over2={p: n * factor for p, n in self.over2.items()},
-            over3=self.over3 * factor,
-            blank_count=self.blank_count * factor,
-        )
 
 
 def condense(classified: Iterable[BallotClass], roster: Sequence[str]) -> CondensedProfile:

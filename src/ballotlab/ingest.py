@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 
 from .core import (
     CondensedProfile,
     RankedBallot,
+    Record,
     classify_ballot,
     condense_weighted,
     is_write_in,
@@ -35,8 +35,7 @@ MAX_COUNT = 2**63 - 1  # counts must fit a 64-bit signed integer
 _RESERVED = (",", ">", "+")
 
 
-@dataclass(frozen=True)
-class RawCvrDocument:
+class RawCvrDocument(Record):
     """A parsed raw cast-vote-record: roster plus one ballot per voter.
 
     Ballots with identical rank grids (the same mark set at every rank)

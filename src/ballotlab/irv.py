@@ -9,15 +9,13 @@ and are excluded up front (their count is reported).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CondensedProfile
+from .core import CondensedProfile, Record
 from .errors import DecisiveTieError, NoValidBallotsError
 
 
-@dataclass(frozen=True)
-class IrvRound:
+class IrvRound(Record):
     """One counting round.
 
     ``transfers`` and ``exhausted_this_round`` describe the ballots that
@@ -35,15 +33,13 @@ class IrvRound:
     eliminated: str | None
 
 
-@dataclass(frozen=True)
-class IrvOutcome:
+class IrvOutcome(Record):
     rounds: tuple[IrvRound, ...]
     winner: str
     invalid_overvotes: int
 
 
-@dataclass(frozen=True)
-class RoundShares:
+class RoundShares(Record):
     """Per-candidate vote shares for one round, on both denominators.
 
     ``of_active`` divides by the ballots active in that round;

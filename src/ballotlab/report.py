@@ -6,7 +6,9 @@ table is rendered for humans.  Machine formats (``csv``,
 ``numerator/denominator`` tokens, so every cell can be reconstructed
 exactly.  Rendering is deterministic: identical reports produce
 byte-identical output.  Footer notes (winner summaries, provenance)
-appear in table mode only.
+appear in table mode only.  Columns and cells are immutable
+:class:`~ballotlab.core.Record` values; a report is the one record
+built up in place, and its ``rows`` and ``notes`` start as new lists.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .core import Record
 from .rational import decimal_string, fraction_token, percent_string
 
 TABLE = "table"
@@ -34,8 +36,7 @@ _KINDS = ("text", "int", "percent", "decimal2", "decimal3", "decimal4")
 Value = int | str | Fraction
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(Record):
     name: str
     kind: str = "text"
 
@@ -44,20 +45,24 @@ class Column:
             raise ValueError(f"unknown column kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Record):
     """A value with an optional per-cell kind override."""
 
     value: Value
     kind: str | None = None
 
 
-@dataclass
-class Report:
+class Report(Record):
     title: str
     columns: tuple[Column, ...]
-    rows: list[tuple[Value | Cell, ...]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    rows: list[tuple[Value | Cell, ...]] = None
+    notes: list[str] = None
+
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __post_init__(self) -> None:
+        self.rows = [] if self.rows is None else self.rows
+        self.notes = [] if self.notes is None else self.notes
 
     def add(self, *values: Value | Cell) -> None:
         if len(values) != len(self.columns):

@@ -25,11 +25,10 @@ table, and a threshold solves its line for the least hundredth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .approval import Group, grid_scores, score_lines
-from .core import CondensedProfile
+from .core import CondensedProfile, Record
 from .errors import DecisiveTieError, UnattainableError
 from .rational import bounded_rational, exact_rational
 
@@ -54,8 +53,7 @@ def _require_small_roster(profile: CondensedProfile) -> None:
         )
 
 
-@dataclass(frozen=True)
-class StarScenario:
+class StarScenario(Record):
     """Average stars given to each group's second choice, each in [1, 4]."""
 
     stars: dict[Group, Fraction]
@@ -77,12 +75,11 @@ class StarScenario:
         groups = profile.ranking_groups()
         unknown = set(stars) - set(groups)
         if unknown:
-            raise ValueError(f"stars given for unknown group {sorted(unknown)[0]!r}")
+            raise ValueError(f"stars given for unknown group {'>'.join(min(unknown))}")
         return cls({g: stars.get(g, 1) for g in groups})
 
 
-@dataclass(frozen=True)
-class StarOutcome:
+class StarOutcome(Record):
     """Score round plus runoff.
 
     ``finalists`` is the top-two pair in roster order.  ``winners`` has
@@ -97,16 +94,14 @@ class StarOutcome:
     winners: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class StarRange:
+class StarRange(Record):
     """Score range per candidate: all second choices at 1 star vs at 4."""
 
     minimum: dict[str, int]
     maximum: dict[str, int]
 
 
-@dataclass(frozen=True)
-class StarThreshold:
+class StarThreshold(Record):
     """Least uniform second-choice rating that locks in a runoff berth."""
 
     stars: Fraction

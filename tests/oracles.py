@@ -12,8 +12,13 @@ import random
 from fractions import Fraction
 
 from ballotlab import (
+    Blank,
+    Bullet,
     CondensedProfile,
     DecisiveTieError,
+    Full,
+    OvervoteTopAll,
+    OvervoteTopTwo,
     ParseError,
     RankedBallot,
     classify_ballot,
@@ -35,6 +40,28 @@ def expand_ballots(profile: CondensedProfile) -> list[tuple]:
             ballots += [("over2", a, b)] * profile.over2_count(a, b)
     ballots += [("over3",)] * profile.over3
     return ballots
+
+
+def expand(profile: CondensedProfile) -> list:
+    """One pattern instance per counted ballot, blanks last, roster order."""
+    make = {"bullet": Bullet, "full": Full, "over3": OvervoteTopAll,
+            "over2": lambda a, b: OvervoteTopTwo(frozenset((a, b)))}
+    patterns = [make[kind](*names) for kind, *names in expand_ballots(profile)]
+    return patterns + [Blank()] * profile.blank_count
+
+
+def scaled(profile: CondensedProfile, factor: int) -> CondensedProfile:
+    """The profile with every count multiplied by a positive integer."""
+    if factor < 1:
+        raise ValueError("scale factor must be a positive integer")
+    return CondensedProfile(
+        candidates=profile.candidates,
+        bullet={c: n * factor for c, n in profile.bullet.items()},
+        full={g: n * factor for g, n in profile.full.items()},
+        over2={p: n * factor for p, n in profile.over2.items()},
+        over3=profile.over3 * factor,
+        blank_count=profile.blank_count * factor,
+    )
 
 
 def _rank(ballot: tuple, candidate: str):

@@ -41,6 +41,7 @@ from .oracles import (
     brute_pairwise,
     brute_star_runoff,
     brute_star_scores,
+    expand,
     random_profile,
 )
 
@@ -262,7 +263,7 @@ def test_criterion_9_property_suites():
     for _ in range(200):
         profile = random_profile(rng, max_ballots=80)
         assert parse_condensed(write_condensed(profile)) == profile
-        assert condense(profile.expand(), profile.candidates) == profile
+        assert condense(expand(profile), profile.candidates) == profile
 
     # (d) IRV final round equals the head-to-head between the finalists
     checked = 0

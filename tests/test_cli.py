@@ -122,6 +122,18 @@ class TestDispatchAndErrors:
         assert out == ""
         assert err == f"error: unknown group {group}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["approval", "eval", "--p-group", "Nobody>Begich=0.5"],
+         "rate given for unknown group Nobody>Begich"),
+        (["star", "eval", "--s-group", "Nobody>Begich=2"],
+         "stars given for unknown group Nobody>Begich"),
+    ])
+    def test_scenario_group_off_the_roster_is_usage_error(self, capsys, fixture, argv, message):
+        code, out, err = invoke(capsys, *argv[:2], fixture, *argv[2:])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 def alaska_csv_bytes() -> bytes:
     from ballotlab import write_condensed
@@ -460,12 +472,14 @@ def ran():
     return sorted({os.path.basename(f) for f in executed if os.path.dirname(f) == package})
 
 after_import = ran()
+imported = sorted({os.path.basename(f) for f in executed})
 loaded = sorted(m for m in sys.modules if m.startswith("ballotlab."))
 sys.stdout = io.TextIOWrapper(io.BytesIO())
 code = ballotlab.cli.run(sys.argv[1:])
 sys.__stdout__.write(json.dumps({
     "code": code,
     "after_import": after_import,
+    "imported": imported,
     "loaded": loaded,
     "after_run": ran(),
     "executed": sorted({os.path.basename(f) for f in executed}),
@@ -489,9 +503,11 @@ def _audit(*argv: str) -> dict:
 
 class TestLazyModelModules:
     @pytest.mark.parametrize("command, flags, absent", [
-        ("irv", [], {"approval.py", "star.py", "condorcet.py"}),
-        ("approval sweep", ["--format", "csv"], {"star.py", "condorcet.py", "irv.py", "hashlib.py"}),
-        ("star eval", [], {"condorcet.py", "irv.py"}),
+        ("irv", [],
+         {"approval.py", "star.py", "condorcet.py", "dataclasses.py", "inspect.py"}),
+        ("approval sweep", ["--format", "csv"],
+         {"star.py", "condorcet.py", "irv.py", "hashlib.py", "dataclasses.py", "inspect.py"}),
+        ("star eval", [], {"condorcet.py", "irv.py", "dataclasses.py", "inspect.py"}),
     ])
     def test_command_executes_only_the_modules_it_uses(self, alaska_csv, command, flags, absent):
         result = _audit(*command.split(), str(alaska_csv), *flags)
@@ -504,6 +520,7 @@ class TestLazyModelModules:
         result = _audit("ingest", str(alaska_csv))
         assert not {"approval.py", "condorcet.py", "irv.py", "star.py"} & set(result["after_import"])
         assert {f"ballotlab.{m}" for m in LAYERS} <= set(result["loaded"])
+        assert not {"dataclasses.py", "inspect.py"} & set(result["imported"])
 
     def test_module_entry_point_matches_in_process_run(self, capsysbinary, alaska_csv):
         argv = ["irv", str(alaska_csv), "--format", "csv"]

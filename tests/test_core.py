@@ -13,6 +13,8 @@ from ballotlab import (
     condense,
 )
 
+from .oracles import expand, scaled
+
 ROSTER = ("Begich", "Palin", "Peltola")
 
 
@@ -118,7 +120,7 @@ class TestCondense:
         assert total == len(classes)
 
     def test_round_trip_through_expand(self, alaska_profile):
-        assert condense(alaska_profile.expand(), ROSTER) == alaska_profile
+        assert condense(expand(alaska_profile), ROSTER) == alaska_profile
 
 
 class TestProfileValidation:
@@ -174,6 +176,6 @@ class TestTotals:
             assert seconds[c] <= alaska_profile.total_valid_ranked - firsts[c]
 
     def test_scaled(self, alaska_profile):
-        doubled = alaska_profile.scaled(2)
+        doubled = scaled(alaska_profile, 2)
         assert doubled.total_valid_ranked == 2 * alaska_profile.total_valid_ranked
         assert doubled.over3 == 112
