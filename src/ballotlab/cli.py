@@ -5,7 +5,8 @@ files are auto-detected by extension (``.json`` raw cast-vote-record,
 ``.csv`` condensed profile) unless ``--input-format`` overrides.
 
 Exit codes: 0 success; 1 domain error (decisive tie, unattainable
-threshold, no valid ranked ballot to tabulate); 2 usage or parse
+threshold, no valid ranked ballot to tabulate, truncated rankings of a
+raw CVR with 4 or more candidates); 2 usage or parse
 error, or an output file that cannot be written.  Machine output
 formats are byte-deterministic; the table format appends a provenance
 footer.
@@ -34,9 +35,10 @@ from .errors import (
     MalformedBallotError,
     NoValidBallotsError,
     ParseError,
+    TruncatedRankingsError,
     UnattainableError,
 )
-from .ingest import ingest, parse_condensed, parse_raw, write_condensed
+from .ingest import ingest_counting_truncated, parse_condensed, parse_raw, write_condensed
 from .rational import decimal_string, exact_rational, fraction_token
 from .report import (
     FORMATS,
@@ -73,7 +75,8 @@ def run(argv: Sequence[str]) -> int:
         else:
             sys.stdout.buffer.write(output)
             sys.stdout.buffer.flush()
-    except (DecisiveTieError, UnattainableError, NoValidBallotsError) as exc:
+    except (DecisiveTieError, UnattainableError, NoValidBallotsError,
+            TruncatedRankingsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ParseError, MalformedBallotError, ValueError, OSError) as exc:
@@ -122,7 +125,13 @@ def _load_profile(args: argparse.Namespace) -> tuple[CondensedProfile, bytes]:
                 f"cannot infer input format of {args.file!r}; pass --input-format"
             )
     if fmt == "raw":
-        return ingest(parse_raw(data)), data
+        profile, truncated = ingest_counting_truncated(parse_raw(data))
+        if truncated and args.command in ("irv", "pairwise", "condorcet", "squeeze"):
+            raise TruncatedRankingsError(
+                f"{truncated} {'ballot ranks' if truncated == 1 else 'ballots rank'} a candidate "
+                f"after the second choice; with 4 or more candidates {args.command} keeps only "
+                "the first two choices and would ignore the later ones")
+        return profile, data
     return parse_condensed(data), data
 
 

@@ -16,6 +16,7 @@ that compares, hashes and reprs by value and generates no code at import.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 from operator import attrgetter
 
 from .errors import MalformedBallotError
@@ -169,6 +170,23 @@ class Blank(Record):
 BallotClass = Bullet | Full | OvervoteTopTwo | OvervoteTopAll | Blank
 
 
+@lru_cache
+def classification_roster(roster: tuple[str, ...]) -> frozenset[str]:
+    """:func:`classify_ballot`'s validated roster, cached; a bad one raises every time."""
+    candidates = validate_roster(roster)
+    if len(candidates) < 2:
+        raise ValueError("classification needs a roster of at least 2 candidates")
+    return frozenset(candidates)
+
+
+def roster_marks(marks: frozenset[str], roster_set: frozenset[str]) -> frozenset[str]:
+    """``marks`` without its write-ins; a mark that is neither raises."""
+    unknown = [m for m in marks - roster_set if not is_write_in(m)]
+    if unknown:
+        raise MalformedBallotError(f"mark {min(unknown)!r} names no roster candidate")
+    return marks & roster_set
+
+
 def classify_ballot(ballot: RankedBallot, roster: Sequence[str]) -> BallotClass:
     """Reduce a raw ballot to its preference pattern.
 
@@ -179,27 +197,18 @@ def classify_ballot(ballot: RankedBallot, roster: Sequence[str]) -> BallotClass:
     remaining rank supplies the second choice when it holds exactly one
     distinct mark.  A later duplicate of the first choice is ignored,
     and a second-rank overvote yields a bullet (the voter expressed no
-    usable preference among the rest).
+    usable preference among the rest).  Each roster is validated once.
     """
-    candidates = validate_roster(roster)
-    if len(candidates) < 2:
-        raise ValueError("classification needs a roster of at least 2 candidates")
-    if len(ballot.ranks) > len(candidates):
+    roster_set = classification_roster(tuple(roster))
+    if len(ballot.ranks) > len(roster_set):
         raise MalformedBallotError(
             f"ballot has {len(ballot.ranks)} rank positions but the roster "
-            f"has only {len(candidates)} candidates"
+            f"has only {len(roster_set)} candidates"
         )
-    roster_set = frozenset(candidates)
-
-    ranks: list[frozenset[str] | set[str]] = []
+    ranks = []
     for marks in ballot.ranks:
         if not marks <= roster_set:
-            marks = {m for m in marks if not is_write_in(m)}
-            unknown = marks - roster_set
-            if unknown:
-                raise MalformedBallotError(
-                    f"mark {sorted(unknown)[0]!r} names no roster candidate"
-                )
+            marks = roster_marks(marks, roster_set)
         if marks:
             ranks.append(marks)
 

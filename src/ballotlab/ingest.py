@@ -16,16 +16,20 @@ Two formats are supported:
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import Counter
 
 from .core import (
     CondensedProfile,
+    Full,
     RankedBallot,
     Record,
+    classification_roster,
     classify_ballot,
     condense_weighted,
     is_write_in,
+    roster_marks,
     validate_roster,
 )
 from .errors import ParseError
@@ -57,7 +61,21 @@ def parse_raw(data: bytes) -> RawCvrDocument:
     reuses its mark set.  What is reused passed the checks at its first
     occurrence, so an error still names the first offending ballot and
     rank.
+
+    The cyclic garbage collector is paused meanwhile, then restored: decoded
+    JSON is a tree, freed before the collector resumes, so rescanning its
+    lists would find nothing.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_raw(data)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_raw(data: bytes) -> RawCvrDocument:
     try:
         doc = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -134,34 +152,54 @@ def _check_ranks(i: int, raw_ballot: list, key: tuple | None, roster_set: frozen
     for j, raw_rank in enumerate(raw_ballot):
         marks = rank_sets.get(key[j]) if key is not None and isinstance(raw_rank, list) else None
         if marks is None:
-            if not isinstance(raw_rank, list) or not all(
-                isinstance(m, str) for m in raw_rank
-            ):
+            if not isinstance(raw_rank, list) or not all(isinstance(m, str) for m in raw_rank):
                 raise ParseError(f"ballot {i} rank {j + 1} must be an array of mark strings")
-            for mark in raw_rank:
-                if not is_write_in(mark) and mark not in roster_set:
-                    raise ParseError(
-                        f"ballot {i} rank {j + 1}: mark {mark!r} names no roster candidate"
-                    )
+            if not roster_set.issuperset(raw_rank):  # else one set operation passes it
+                for mark in raw_rank:
+                    if mark not in roster_set and not is_write_in(mark):
+                        raise ParseError(
+                            f"ballot {i} rank {j + 1}: mark {mark!r} names no roster candidate")
             marks = rank_sets[tuple(raw_rank)] = frozenset(raw_rank)
         ranks.append(marks)
     return tuple(ranks)
 
 
-def ingest(doc: RawCvrDocument) -> CondensedProfile:
-    """Classify each distinct rank grid once and condense the result.
+class _RosterMarks(dict):
+    """Rank mark set -> its marks on ``roster_set``, one shared set per distinct result."""
 
-    Ballots are counted per :class:`RankedBallot` instance, which
-    :func:`parse_raw` shares among identical grids, and the grids are
-    classified in order of first appearance, so the first classification
-    error is the one the first offending ballot raises.
-    """
-    counts = Counter(map(id, doc.ballots))
+    def __missing__(self, marks: frozenset[str]) -> frozenset[str]:
+        kept = roster_marks(marks, self.roster_set)
+        return self.setdefault(marks, self.setdefault(kept, kept))
+
+
+def ingest(doc: RawCvrDocument) -> CondensedProfile:
+    """Condense a raw CVR.  ``classify_ballot`` runs once per distinct
+    roster-only grid (write-ins dropped, empty ranks removed), in order of
+    first appearance, so an error is the first offending ballot's."""
+    return ingest_counting_truncated(doc)[0]
+
+
+def ingest_counting_truncated(doc: RawCvrDocument) -> tuple[CondensedProfile, int]:
+    """:func:`ingest`'s profile and its number of truncated ballots: with 4 or
+    more candidates, those whose roster-only grid names a third candidate after
+    the rank that supplied the second choice, a choice the profile drops."""
+    roster = doc.candidates
+    roster_set = classification_roster(tuple(roster)) if doc.ballots else frozenset()
+    reduced = _RosterMarks()
+    reduced.roster_set = roster_set
     grids = dict(zip(map(id, doc.ballots), doc.ballots))
-    return condense_weighted(
-        ((classify_ballot(grids[k], doc.candidates), n) for k, n in counts.items()),
-        doc.candidates,
-    )
+    classes, weights = {}, {}  # roster-only grid -> its class, its number of ballots
+    for key, n in Counter(map(id, doc.ballots)).items():
+        grid = grids[key].ranks
+        if len(grid) <= len(roster_set):  # else classify_ballot rejects it whole
+            grid = tuple(filter(None, map(reduced.__getitem__, grid)))
+        if grid not in classes:
+            classes[grid] = classify_ballot(RankedBallot(grid), roster)
+        weights[grid] = weights.get(grid, 0) + n
+    profile = condense_weighted(((classes[g], n) for g, n in weights.items()), roster)
+    # A Full's ranks up to its second choice name only those two: a third name comes later.
+    return profile, sum(n for g, n in weights.items() if len(roster_set) > 3
+                        and classes[g].__class__ is Full and len(frozenset().union(*g)) > 2)
 
 
 def _check_name(name: str) -> str:

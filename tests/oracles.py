@@ -308,3 +308,29 @@ def per_ballot_ingest(doc: dict) -> CondensedProfile:
                     )
         ballots.append(RankedBallot.from_marks(raw_ballot))
     return condense([classify_ballot(b, roster) for b in ballots], roster)
+
+
+def truncated_ballots(ballots, roster) -> int:
+    """Count ballots whose later choices a first-and-second-choice profile drops.
+
+    Each :class:`RankedBallot` is read on its own: write-ins and empty
+    ranks are removed, a single first choice is found, then the first
+    later rank naming someone else.  If that rank names exactly one
+    other candidate (the second choice), the ballot is truncated when any
+    later rank names a third candidate.  Rosters under 4 never truncate.
+    """
+    if len(roster) < 4:
+        return 0
+    count = 0
+    for ballot in ballots:
+        ranks = [set(marks) & set(roster) for marks in ballot.ranks]
+        ranks = [r for r in ranks if r]
+        if not ranks or len(ranks[0]) != 1:
+            continue
+        first = next(iter(ranks[0]))
+        later = [(k, r - {first}) for k, r in enumerate(ranks) if k and r - {first}]
+        if not later or len(later[0][1]) != 1:
+            continue
+        k, (second,) = later[0][0], later[0][1]
+        count += any(r - {first, second} for r in ranks[k + 1:])
+    return count

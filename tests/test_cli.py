@@ -141,6 +141,62 @@ def alaska_csv_bytes() -> bytes:
     return write_condensed(alaska())
 
 
+def raw_file(tmp_path, ballots, candidates="ABCD") -> str:
+    """Write a raw CVR whose ballots give one mark per rank, ``-`` for a skipped rank."""
+    path = tmp_path / "raw.json"
+    grids = [[[] if m == "-" else [m] for m in b] for b in ballots]
+    path.write_text(json.dumps({"candidates": list(candidates), "ballots": grids}))
+    return str(path)
+
+
+class TestTruncatedRankings:
+    """With 4+ candidates, a ballot's third and later choices must not vanish silently."""
+
+    # True IRV elects B 7-5 in round 3; the first-and-second-choice profile
+    # would elect A 5-4, and pairwise would report A over B.
+    TWELVE = ["A---"] * 5 + ["B---"] * 4 + ["CDB-"] * 2 + ["DCB-"]
+
+    @pytest.mark.parametrize("command", ["irv", "pairwise", "condorcet", "squeeze"])
+    def test_full_ranking_commands_refuse(self, capsys, tmp_path, command):
+        code, out, err = invoke(capsys, command, raw_file(tmp_path, self.TWELVE))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: 3 ballots rank a candidate after the second choice; with 4 or more "
+            f"candidates {command} keeps only the first two choices and would ignore the later ones\n"
+        )
+
+    def test_one_truncated_ballot_is_counted_in_the_singular(self, capsys, tmp_path):
+        path = raw_file(tmp_path, ["ABCD", ["B", "A", "WRITEIN:x", "-"]])
+        code, _, err = invoke(capsys, "irv", path)
+        assert code == 1
+        assert err.startswith("error: 1 ballot ranks a candidate after the second choice;")
+
+    def test_ingest_writes_the_first_and_second_choice_profile(self, capsys, tmp_path):
+        code, out, _ = invoke(capsys, "ingest", raw_file(tmp_path, self.TWELVE))
+        assert code == 0
+        profile = parse_condensed(out.encode())
+        assert (profile.bullet_count("A"), profile.bullet_count("B")) == (5, 4)
+        assert (profile.full_count("C", "D"), profile.full_count("D", "C")) == (2, 1)
+
+    @pytest.mark.parametrize("command", [
+        ["irv"], ["pairwise"], ["pairwise", "--basis", "include-ties"], ["condorcet"], ["squeeze"],
+    ])
+    def test_two_choice_ballots_keep_their_output(self, capsys, tmp_path, command):
+        ballots = ["A---"] * 5 + ["BAA-"] * 4 + ["C-D-"] * 3 + ["DC-C", ["WRITEIN:w", "D", "C", "-"]]
+        path = raw_file(tmp_path, ballots)
+        code, out, err = invoke(capsys, *command, path, "--format", "csv")
+        assert (code, err) == (0, "")
+        csv = tmp_path / "profile.csv"
+        assert invoke(capsys, "ingest", path, "--out", str(csv))[0] == 0
+        assert invoke(capsys, *command, str(csv), "--format", "csv") == (0, out, "")
+
+    def test_three_candidate_rankings_are_complete(self, capsys, tmp_path):
+        path = raw_file(tmp_path, ["ABC", "ABC", "BCA", "CAB", "ACB"], "ABC")
+        code, out, _ = invoke(capsys, "irv", path, "--format", "csv")
+        assert code == 0
+        assert "1,A,3,3/5,3/5,0,0,5,winner" in out.splitlines()
+
+
 class TestCommandOutputs:
     def test_ingest_raw_document(self, capsys, tmp_path):
         raw = {

@@ -90,6 +90,23 @@ class TestClassifyBallot:
         with pytest.raises(ValueError):
             classify_ballot(ballot(["A"]), ("A",))
 
+    @pytest.mark.parametrize("roster", [
+        ("A", "A", "B"), ["A", "B", " B "], ("A", " "), ("A",), ("A", "WRITEIN:B"),
+    ])
+    def test_bad_roster_raises_the_same_error_on_every_call(self, roster):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                classify_ballot(ballot(["A"]), roster)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    def test_roster_names_are_trimmed_once_validated(self):
+        b = ballot([" A"], ["B"])
+        with pytest.raises(MalformedBallotError, match="' A' names no roster candidate"):
+            classify_ballot(b, (" A", "B"))
+        assert classify_ballot(ballot(["A"], ["B"]), (" A", "B")) == Full("A", "B")
+
 
 class TestCondense:
     def test_counts_patterns(self):

@@ -1,10 +1,14 @@
+import gc
 import json
+import sys
 
 import pytest
 
 from ballotlab import (
     CondensedProfile,
+    Full,
     ParseError,
+    classify_ballot,
     ingest,
     parse_condensed,
     parse_raw,
@@ -179,6 +183,73 @@ class TestRepeatedGridErrors:
             f"error: top-rank overvote of {marks} marks covers neither two candidates "
             "nor the whole roster\n"
         )
+
+
+class TestGcPause:
+    """parse_raw decodes with the cyclic collector paused and restores the caller's setting."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+    def gc_before(self, request):
+        was_enabled = gc.isenabled()
+        gc.enable() if request.param else gc.disable()
+        yield request.param
+        gc.enable() if was_enabled else gc.disable()
+
+    @pytest.mark.parametrize(("data", "error"), [
+        pytest.param(raw_doc([VALID, [["WRITEIN:w"], ["A"], []]]), None, id="valid"),
+        pytest.param(b'{"candidates": [', "syntax error", id="bad-json"),
+        pytest.param(raw_doc([VALID, [["A"], ["D"], []]]), "names no roster", id="bad-ballot"),
+    ])
+    def test_setting_is_restored(self, gc_before, data, error):
+        if error is None:
+            parse_raw(data)
+        else:
+            with pytest.raises(ParseError, match=error):
+                parse_raw(data)
+        assert gc.isenabled() is gc_before
+
+    def test_collector_is_paused_while_decoding(self, gc_before, monkeypatch):
+        seen = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: seen.append(gc.isenabled()) or loads(text))
+        parse_raw(raw_doc([VALID]))
+        assert seen == [False]
+
+
+class TestClassifyOncePerRosterOnlyGrid:
+    def test_grids_differing_in_write_ins_order_and_empty_ranks(self, monkeypatch):
+        grids = []
+
+        def counting(ballot, roster):
+            grids.append(ballot.ranks)
+            return classify_ballot(ballot, roster)
+
+        monkeypatch.setattr(sys.modules["ballotlab.ingest"], "classify_ballot", counting)
+        doc = parse_raw(raw_doc([
+            [["A"], ["B"], []],
+            [["A"], [], ["B"]],
+            [["WRITEIN:x"], ["A"], ["B"]],
+            [["A", "WRITEIN:y"], ["WRITEIN:z", "B"], []],
+            [["WRITEIN:y", "A"], ["B", "WRITEIN:z"], []],
+            [[], ["A"], ["B", "WRITEIN:x"]],
+            [["A"], ["B"], []],
+        ]))
+        assert len(set(map(id, doc.ballots))) == 5
+        assert ingest(doc) == CondensedProfile(("A", "B", "C"), {}, {("A", "B"): 7}, {})
+        assert grids == [(frozenset("A"), frozenset("B"))]
+
+    def test_each_distinct_pattern_is_classified_in_order_of_first_appearance(self, monkeypatch):
+        classes = []
+
+        def recording(ballot, roster):
+            classes.append(classify_ballot(ballot, roster))
+            return classes[-1]
+
+        monkeypatch.setattr(sys.modules["ballotlab.ingest"], "classify_ballot", recording)
+        ingest(parse_raw(raw_doc([
+            [["C"], ["A"], []], [["A"], ["B"], []], [["C"], ["WRITEIN:q"], ["A"]], [["A"], [], ["B"]],
+        ])))
+        assert classes == [Full("C", "A"), Full("A", "B")]
 
 
 class TestCondensedFile:

@@ -14,9 +14,12 @@ from ballotlab import (
     DecisiveTieError,
     MalformedBallotError,
     ParseError,
+    RankedBallot,
+    RawCvrDocument,
     StarScenario,
     UnattainableError,
     approval_range,
+    classify_ballot,
     condense,
     condorcet_winner_loser,
     evaluate_approval,
@@ -44,7 +47,9 @@ from .oracles import (
     per_point_sweep,
     scan_star_threshold,
     scaled,
+    truncated_ballots,
 )
+from ballotlab.ingest import ingest_counting_truncated
 
 ABC = ("A", "B", "C")
 GROUPS = tuple((a, b) for a in ABC for b in ABC if a != b)
@@ -171,6 +176,45 @@ class TestRawIngest:
     def test_matches_per_ballot_ingest(self, doc):
         data = json.dumps(doc).encode()
         assert _outcome(lambda: ingest(parse_raw(data))) == _outcome(lambda: per_ballot_ingest(doc))
+
+
+@st.composite
+def hand_built_documents(draw, deep=False):
+    """RawCvrDocuments made without parse_raw: up to 6 candidates, sometimes
+    unknown marks or more ranks than candidates, equal grids not always shared.
+    ``deep`` documents have 4-6 candidates and one mark in every rank."""
+    roster = "ABCDEF"[:draw(st.integers(4 if deep else 1, 6))]
+    positions = len(roster) if deep else draw(st.integers(1, len(roster) + 1))
+    unknown = ("Z",) if draw(st.integers(0, 4)) == 0 else ()
+    rank = st.frozensets(st.sampled_from(tuple(roster) + WRITE_INS + unknown),
+                         min_size=int(deep), max_size=1 if deep else 3)
+    pool = draw(st.lists(st.lists(rank, min_size=positions, max_size=positions).map(tuple),
+                         min_size=1, max_size=6))
+    shared = [RankedBallot(grid) for grid in pool]
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()), max_size=30))
+    ballots = tuple(shared[k] if share else RankedBallot(pool[k]) for k, share in picks)
+    return RawCvrDocument(candidates=tuple(roster), ballots=ballots)
+
+
+def _result(compute):
+    try:
+        return compute()
+    except ValueError as exc:  # MalformedBallotError or a roster error
+        return type(exc), str(exc)
+
+
+class TestHandBuiltIngest:
+    @given(hand_built_documents())
+    def test_matches_classifying_every_ballot(self, doc):
+        roster = doc.candidates
+        assert _result(lambda: ingest(doc)) == _result(
+            lambda: condense([classify_ballot(b, roster) for b in doc.ballots], roster))
+
+    @given(st.one_of(hand_built_documents(), hand_built_documents(deep=True)))
+    def test_truncated_count_matches_per_ballot_reading(self, doc):
+        outcome = _result(lambda: ingest_counting_truncated(doc))
+        if isinstance(outcome[0], CondensedProfile):
+            assert outcome[1] == truncated_ballots(doc.ballots, doc.candidates)
 
 
 class TestCondensedRoundTrips:
