@@ -129,35 +129,7 @@ __all__ = [
     "ingest",
     "parse_condensed",
     "write_condensed",
-    "IrvRound",
-    "IrvOutcome",
-    "RoundShares",
-    "tabulate_irv",
-    "irv_percentages",
-    "RANKED_ONLY",
-    "INCLUDE_TIES",
-    "PairwiseTally",
-    "CondorcetReport",
-    "CenterSqueeze",
-    "pairwise_tallies",
-    "condorcet_winner_loser",
-    "detect_center_squeeze",
-    "ApprovalScenario",
-    "ApprovalOutcome",
-    "ApprovalRange",
-    "approval_range",
-    "evaluate_approval",
-    "uniform_threshold",
-    "min_second_votes_to_clinch",
-    "sweep_uniform",
-    "StarScenario",
-    "StarOutcome",
-    "StarRange",
-    "StarThreshold",
-    "star_range",
-    "evaluate_star",
-    "uniform_star_threshold",
-    "sweep_star",
+    *_DEFINED_IN,
     "MalformedBallotError",
     "NoValidBallotsError",
     "ParseError",

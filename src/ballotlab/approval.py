@@ -1,12 +1,15 @@
-"""Approval-voting counterfactual over a three-candidate profile.
+"""Approval-voting counterfactual, and the model it shares with STAR.
 
-The behavioral model: bullet voters approve exactly their candidate;
-two-way top-overvote voters approve both pair members; all-way
-overvoters are excluded; voters with a full ranking always approve
-their first choice, never their third, and approve their second choice
-at a per-group rate ``p``.  Group scores are therefore affine in each
-rate, and everything here is computed in exact rational arithmetic --
-rounding happens only at display time.
+The behavioral model: bullet voters support exactly their candidate;
+two-way top-overvote voters support both pair members; all-way
+overvoters are excluded; voters with a full ranking always support their
+first choice, never their third, and give their second choice a
+per-group value on a :class:`Scale`.  Under approval a supported
+candidate gets one approval and the second-choice value is an approval
+rate ``p`` in [0, 1]; :mod:`ballotlab.star` puts the same model on a
+star scale.  Group scores are therefore affine in each value, and
+everything here is computed in exact rational arithmetic -- rounding
+happens only at display time.
 """
 
 from __future__ import annotations
@@ -29,30 +32,95 @@ def _require_three(profile: CondensedProfile) -> None:
         )
 
 
-class ApprovalScenario(Record):
+class Scale(Record):
+    """The model's scores on one voting method's scale.
+
+    A supported first choice scores ``first_weight``; a second choice
+    scores its group's value in [``low``, ``high``], a whole number of
+    hundredths when ``hundredths`` is set.  ``noun`` names one value in
+    messages and ``given`` names what a scenario gives per group.
+    """
+
+    first_weight: int
+    low: int
+    high: int
+    hundredths: bool
+    noun: str
+    given: str
+
+    def resolution(self, value: Fraction, what: str) -> Fraction:
+        """``value``, if the scale's resolution holds it; ``what`` names it in errors."""
+        if self.hundredths and 100 % value.denominator:
+            raise ValueError(f"{what} must be a whole number of hundredths, got {value}")
+        return value
+
+    def value(self, value, what: str) -> Fraction:
+        """``value`` as an exact point of the scale; ``what`` names it in errors."""
+        return self.resolution(bounded_rational(value, self.low, self.high, what), what)
+
+    def grid(self, step, start, end) -> tuple[Fraction, Fraction, Fraction]:
+        """A sweep grid's checked ``(step, start, end)``, with ``0 < step <= high - low``."""
+        step = exact_rational(step, "grid step")
+        if not 0 < step <= self.high - self.low:
+            raise ValueError(f"grid step must lie in (0, {self.high - self.low}], got {step}")
+        step = self.resolution(step, "grid step")
+        start, end = self.value(start, "grid start"), self.value(end, "grid end")
+        if start > end:
+            raise ValueError("grid start must not exceed grid end")
+        return step, start, end
+
+
+APPROVAL = Scale(1, 0, 1, False, "approval rate", "rate")
+
+
+class Scenario(Record):
+    """Per-group second-choice values, held in the subclass's one field.
+
+    Each subclass sets the class attribute ``scale``, which checks the
+    values and gives unlisted groups their floor value.
+    """
+
+    def __post_init__(self) -> None:
+        (field,) = self.__slots__
+        checked = {
+            g: self.scale.value(v, f"{self.scale.noun} for {g[0]}>{g[1]}")
+            for g, v in getattr(self, field).items()
+        }
+        object.__setattr__(self, field, checked)
+
+    @classmethod
+    def uniform(cls, profile: CondensedProfile, value):
+        return cls(dict.fromkeys(profile.ranking_groups(), value))
+
+    @classmethod
+    def for_profile(cls, profile: CondensedProfile, values: dict[Group, object]):
+        """Scenario over all of the profile's groups; unlisted groups get the scale's floor."""
+        return cls(cls.resolve(profile, values))
+
+    @classmethod
+    def resolve(cls, profile: CondensedProfile, values: dict[Group, object]) -> dict:
+        """``values`` for every group of the profile; an unknown group raises ``ValueError``."""
+        groups = profile.ranking_groups()
+        unknown = set(values) - set(groups)
+        if unknown:
+            raise ValueError(f"{cls.scale.given} given for unknown group {'>'.join(min(unknown))}")
+        return {g: values.get(g, cls.scale.low) for g in groups}
+
+    def scores(self, profile: CondensedProfile) -> dict[str, Fraction]:
+        """Exact score per candidate: guaranteed support plus each group's second choices."""
+        (field,) = self.__slots__
+        base, _ = score_lines(profile, self.scale.first_weight)
+        scores = {c: Fraction(n) for c, n in base.items()}
+        for (first, second), value in self.resolve(profile, getattr(self, field)).items():
+            scores[second] += value * profile.full_count(first, second)
+        return scores
+
+
+class ApprovalScenario(Scenario):
     """Second-choice approval rate per full-ranking group, each in [0, 1]."""
 
     rates: dict[Group, Fraction]
-
-    def __post_init__(self) -> None:
-        checked = {
-            g: bounded_rational(p, Fraction(0), Fraction(1), f"approval rate for {g[0]}>{g[1]}")
-            for g, p in self.rates.items()
-        }
-        object.__setattr__(self, "rates", checked)
-
-    @classmethod
-    def uniform(cls, profile: CondensedProfile, p) -> "ApprovalScenario":
-        return cls({g: p for g in profile.ranking_groups()})
-
-    @classmethod
-    def for_profile(cls, profile: CondensedProfile, rates: dict[Group, object]) -> "ApprovalScenario":
-        """Scenario over all of the profile's groups; unlisted groups get 0."""
-        groups = profile.ranking_groups()
-        unknown = set(rates) - set(groups)
-        if unknown:
-            raise ValueError(f"rate given for unknown group {'>'.join(min(unknown))}")
-        return cls({g: rates.get(g, 0) for g in groups})
+    scale = APPROVAL
 
 
 class ApprovalOutcome(Record):
@@ -91,14 +159,17 @@ def score_lines(profile: CondensedProfile, first_weight: int) -> tuple[dict[str,
     return {c: first_weight * n for c, n in first.items()}, profile.second_place_totals()
 
 
+def score_range(profile: CondensedProfile, scale: Scale) -> tuple[dict[str, int], dict[str, int]]:
+    """Each candidate's score with every second choice at the scale's floor, and at its cap."""
+    _require_three(profile)
+    base, slope = score_lines(profile, scale.first_weight)
+    return ({c: b + scale.low * slope[c] for c, b in base.items()},
+            {c: b + scale.high * slope[c] for c, b in base.items()})
+
+
 def approval_range(profile: CondensedProfile) -> ApprovalRange:
     """Minimum and maximum possible approval count per candidate."""
-    _require_three(profile)
-    base, slope = score_lines(profile, 1)
-    return ApprovalRange(
-        minimum=base,
-        maximum={c: base[c] + slope[c] for c in profile.candidates},
-    )
+    return ApprovalRange(*score_range(profile, APPROVAL))
 
 
 def _winners(scores: dict[str, int | Fraction], order: tuple[str, ...]) -> tuple[str, ...]:
@@ -109,18 +180,14 @@ def _winners(scores: dict[str, int | Fraction], order: tuple[str, ...]) -> tuple
 def evaluate_approval(profile: CondensedProfile, scenario: ApprovalScenario) -> ApprovalOutcome:
     """Exact expected approval scores under the scenario."""
     _require_three(profile)
-    base, _ = score_lines(profile, 1)
-    scores = {c: Fraction(n) for c, n in base.items()}
-    second_approvals = Fraction(0)
-    for (first, second), p in scenario.rates.items():
-        n = profile.full_count(first, second)
-        scores[second] += p * n
-        second_approvals += p * n
+    scores = scenario.scores(profile)
+    total_approvals = sum(scores.values())
+    guaranteed = sum(profile.first_place_totals(include_top_ties=True).values())
+    second_approvals = total_approvals - guaranteed
 
     rankers = sum(profile.full.values())
     mean_rankers = 1 + second_approvals / rankers if rankers else Fraction(1)
     participating = profile.total_valid_ranked + sum(profile.over2.values())
-    total_approvals = sum(scores.values())
     mean_all = total_approvals / participating if participating else Fraction(0)
 
     return ApprovalOutcome(
@@ -143,7 +210,7 @@ def uniform_threshold(profile: CondensedProfile, riser: str, leader: str) -> Fra
     for c in (riser, leader):
         if c not in profile.candidates:
             raise ValueError(f"{c!r} is not on the roster")
-    base, slope = score_lines(profile, 1)
+    base, slope = score_lines(profile, APPROVAL.first_weight)
     gap = base[leader] - base[riser]
     if gap <= 0:
         return Fraction(0)
@@ -182,35 +249,27 @@ def min_second_votes_to_clinch(profile: CondensedProfile, candidate: str, from_g
     return needed
 
 
-def sweep_uniform(
-    profile: CondensedProfile,
-    grid_step,
-    *,
-    start=0,
-    end=1,
-) -> list[tuple[Fraction, tuple[str, ...]]]:
-    """Winners at every uniform rate ``start, start+step, ...`` up to ``end``.
-
-    Closed form: at rate ``p = n/d`` each candidate scores ``base + slope
-    * p`` (see :func:`score_lines`), so the winners are the candidates,
-    in roster order, with the highest integer ``base * d + slope * n``
-    (see :func:`grid_scores`).  The lines are computed once per call,
-    whatever the grid size.
-    """
-    step = exact_rational(grid_step, "grid step")
-    if not 0 < step <= 1:
-        raise ValueError(f"grid step must lie in (0, 1], got {step}")
-    start = bounded_rational(start, Fraction(0), Fraction(1), "grid start")
-    end = bounded_rational(end, Fraction(0), Fraction(1), "grid end")
-    if start > end:
-        raise ValueError("grid start must not exceed grid end")
-
+def sweep_uniform(profile: CondensedProfile, grid_step, *, start=0,
+                  end=1) -> list[tuple[Fraction, tuple[str, ...]]]:
+    """Winners at every uniform rate ``start, start+step, ...`` up to ``end``; see :func:`sweep`."""
     _require_three(profile)
-    base, slope = score_lines(profile, 1)
-    return [
-        (Fraction(n, d), _winners(scaled, profile.candidates))
-        for n, d, scaled in grid_scores(base, slope, start, end, step)
-    ]
+    return sweep(profile, APPROVAL, grid_step, start, end,
+                 lambda scores: _winners(scores, profile.candidates))
+
+
+def sweep(profile: CondensedProfile, scale: Scale, grid_step, start, end,
+          winners) -> list[tuple[Fraction, tuple[str, ...]]]:
+    """``(t, winners(scores))`` at every uniform value ``t`` of a grid on ``scale``.
+
+    Closed form: at ``t = n/d`` each candidate scores ``base + slope * t``
+    (see :func:`score_lines`), and ``scores`` holds the integers ``base *
+    d + slope * n`` (see :func:`grid_scores`), which have the same order
+    and ties.  The lines are computed once per call, whatever the grid size.
+    """
+    step, start, end = scale.grid(grid_step, start, end)
+    base, slope = score_lines(profile, scale.first_weight)
+    return [(Fraction(n, d), winners(scores))
+            for n, d, scores in grid_scores(base, slope, start, end, step)]
 
 
 def grid_scores(base: dict[str, int], slope: dict[str, int], start: Fraction, end: Fraction,

@@ -18,11 +18,6 @@ from .irv import tabulate_irv
 RANKED_ONLY = "ranked-only"
 INCLUDE_TIES = "include-ties"
 
-# Rank grids per pattern: lower rank wins the pair, absence ranks below
-# every present candidate, equal (or jointly absent) means no preference.
-_TOP = 0
-_SECOND = 1
-
 
 class PairwiseTally(Record):
     """Head-to-head counts over every candidate pair.
@@ -68,33 +63,16 @@ def pairwise_tallies(profile: CondensedProfile, basis: str = RANKED_ONLY) -> Pai
     if basis not in (RANKED_ONLY, INCLUDE_TIES):
         raise ValueError(f"unknown basis {basis!r}")
 
-    weighted_grids: list[tuple[dict[str, int], int]] = []
-    for c, n in profile.bullet.items():
-        weighted_grids.append(({c: _TOP}, n))
-    for (first, second), n in profile.full.items():
-        weighted_grids.append(({first: _TOP, second: _SECOND}, n))
-    if basis == INCLUDE_TIES:
-        for pair, n in profile.over2.items():
-            weighted_grids.append(({c: _TOP for c in pair}, n))
-
+    include_ties = basis == INCLUDE_TIES
+    total = profile.total_valid_ranked + (sum(profile.over2.values()) if include_ties else 0)
     prefers: dict[tuple[str, str], int] = {}
     no_preference: dict[frozenset[str], int] = {}
     for a, b in profile.candidate_pairs():
-        above_a = above_b = neither = 0
-        for grid, n in weighted_grids:
-            rank_a = grid.get(a)
-            rank_b = grid.get(b)
-            if rank_a is not None and (rank_b is None or rank_a < rank_b):
-                above_a += n
-            elif rank_b is not None and (rank_a is None or rank_b < rank_a):
-                above_b += n
-            else:
-                neither += n
+        above_a, above_b = profile.head_to_head(a, b, include_ties)
         prefers[(a, b)] = above_a
         prefers[(b, a)] = above_b
-        no_preference[frozenset((a, b))] = neither
+        no_preference[frozenset((a, b))] = total - above_a - above_b
 
-    total = sum(n for _, n in weighted_grids)
     return PairwiseTally(profile.candidates, basis, prefers, no_preference, total)
 
 

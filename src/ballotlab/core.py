@@ -350,6 +350,29 @@ class CondensedProfile(Record):
             totals[second] += n
         return totals
 
+    def head_to_head(self, a: str, b: str, include_ties: bool = False) -> tuple[int, int]:
+        """Ballots ranking ``a`` above ``b``, and ``b`` above ``a``.
+
+        A ranked candidate is above every unranked one.  With
+        ``include_ties`` a two-way top overvote ranks its pair above
+        everyone else and neither member above the other; all-way
+        overvotes never rank anyone above anyone.
+        """
+        votes = {a: 0, b: 0}
+        for c, n in self.bullet.items():
+            if c in votes:
+                votes[c] += n
+        for (first, second), n in self.full.items():
+            if first in votes:
+                votes[first] += n
+            elif second in votes:
+                votes[second] += n
+        if include_ties:
+            for pair, n in self.over2.items():
+                if (a in pair) != (b in pair):
+                    votes[a if a in pair else b] += n
+        return votes[a], votes[b]
+
 
 def condense(classified: Iterable[BallotClass], roster: Sequence[str]) -> CondensedProfile:
     """Count classified ballots into a condensed profile."""

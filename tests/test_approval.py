@@ -94,6 +94,22 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="unknown group"):
             ApprovalScenario.for_profile(alaska_profile, {("Begich", "Nobody"): 1})
 
+    def test_directly_built_scenario_leaves_unlisted_groups_at_zero(self, alaska_profile):
+        direct = ApprovalScenario({("Peltola", "Begich"): Fraction(1, 2)})
+        resolved = ApprovalScenario.for_profile(alaska_profile, direct.rates)
+        assert evaluate_approval(alaska_profile, direct) == evaluate_approval(
+            alaska_profile, resolved
+        )
+        assert evaluate_approval(alaska_profile, ApprovalScenario({})).scores == (
+            approval_range(alaska_profile).minimum
+        )
+
+    @pytest.mark.parametrize("group", [("Begich", "Nobody"), ("Nobody", "Begich")])
+    def test_directly_built_scenario_rejects_unknown_group(self, alaska_profile, group):
+        scenario = ApprovalScenario({group: 1})
+        with pytest.raises(ValueError, match=f"^rate given for unknown group {'>'.join(group)}$"):
+            evaluate_approval(alaska_profile, scenario)
+
 
 class TestUniformThreshold:
     def test_begich_over_peltola(self, alaska_profile):

@@ -343,6 +343,12 @@ class TestCommandOutputs:
         assert out == ""
         assert err == "error: grid step must be a whole number of hundredths, got 3/1000\n"
 
+    def test_star_sweep_rejects_step_wider_than_the_scale(self, capsys, fixture):
+        code, out, err = invoke(capsys, "star", "sweep", fixture, "--grid", "1:4:3.5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: grid step must lie in (0, 3], got 7/2\n"
+
     def test_irv_reads_condensed_file_with_byte_order_mark(self, capsys, fixture, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbf" + Path(fixture).read_bytes())

@@ -228,7 +228,7 @@ class TestCondensedRoundTrips:
 
 
 class TestPairwiseProperties:
-    @given(profiles(), st.booleans())
+    @given(st.one_of(profiles(), named_profiles()), st.booleans())
     def test_matches_per_ballot_enumeration(self, profile, include_ties):
         basis = INCLUDE_TIES if include_ties else RANKED_ONLY
         tally = pairwise_tallies(profile, basis)

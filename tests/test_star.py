@@ -114,6 +114,21 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="float"):
             StarScenario.uniform(alaska_profile, 1.5)
 
+    def test_directly_built_scenario_leaves_unlisted_groups_at_one_star(self, alaska_profile):
+        outcome = evaluate_star(alaska_profile, StarScenario({}))
+        assert outcome.scores == star_range(alaska_profile).minimum
+        assert outcome == evaluate_star(alaska_profile, StarScenario.uniform(alaska_profile, 1))
+        direct = StarScenario({("Begich", "Palin"): 4})
+        assert evaluate_star(alaska_profile, direct) == evaluate_star(
+            alaska_profile, StarScenario.for_profile(alaska_profile, direct.stars)
+        )
+
+    @pytest.mark.parametrize("group", [("Begich", "Nobody"), ("Nobody", "Begich")])
+    def test_directly_built_scenario_rejects_unknown_group(self, alaska_profile, group):
+        scenario = StarScenario({group: 2})
+        with pytest.raises(ValueError, match=f"^stars given for unknown group {'>'.join(group)}$"):
+            evaluate_star(alaska_profile, scenario)
+
 
 class TestThreshold:
     def test_begich_berth_past_palin(self, alaska_profile):
@@ -162,3 +177,5 @@ class TestSweep:
             sweep_star(alaska_profile, 0)
         with pytest.raises(ValueError):
             sweep_star(alaska_profile, 1, start=0)
+        with pytest.raises(ValueError, match=r"^grid step must lie in \(0, 3\], got 7/2$"):
+            sweep_star(alaska_profile, Fraction(7, 2))
