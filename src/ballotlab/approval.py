@@ -77,15 +77,17 @@ class Scenario(Record):
     """Per-group second-choice values, held in the subclass's one field.
 
     Each subclass sets the class attribute ``scale``, which checks the
-    values and gives unlisted groups their floor value.
+    values and gives unlisted groups their floor value.  Every key must be
+    a ``(first, second)`` tuple of two names.
     """
 
     def __post_init__(self) -> None:
         (field,) = self.__slots__
-        checked = {
-            g: self.scale.value(v, f"{self.scale.noun} for {g[0]}>{g[1]}")
-            for g, v in getattr(self, field).items()
-        }
+        checked = {}
+        for g, v in getattr(self, field).items():
+            if not isinstance(g, tuple) or [type(c) for c in g] != [str, str]:
+                raise ValueError(f"{self.scale.given} given for {g!r}, not a pair of names")
+            checked[g] = self.scale.value(v, f"{self.scale.noun} for {g[0]}>{g[1]}")
         object.__setattr__(self, field, checked)
 
     @classmethod

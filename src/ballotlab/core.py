@@ -242,7 +242,9 @@ class CondensedProfile(Record):
 
     Zero counts are dropped on construction, so profiles compare equal
     regardless of whether absent patterns were spelled out.  All counts
-    must be nonnegative and refer only to roster candidates.
+    must be nonnegative and refer only to roster candidates.  Tabulations
+    read rankings through :meth:`rankings`; in IRV each counts for its best
+    continuing candidate, so a ballot moves only when that one is eliminated.
     """
 
     candidates: tuple[str, ...]
@@ -287,7 +289,7 @@ class CondensedProfile(Record):
     @property
     def total_valid_ranked(self) -> int:
         """Ballots whose highest ranking went to a single candidate."""
-        return sum(self.bullet.values()) + sum(self.full.values())
+        return sum(n for _, n in self.rankings())
 
     @property
     def total_overvotes(self) -> int:
@@ -327,6 +329,11 @@ class CondensedProfile(Record):
 
     # -- tallies --------------------------------------------------------
 
+    def rankings(self) -> list[tuple[tuple[str, ...], int]]:
+        """Each valid ranked pattern as ``(preferences, count)``: ``((c,), n)``
+        for a bullet, ``((first, second), n)`` for a full ranking."""
+        return [((c,), n) for c, n in self.bullet.items()] + list(self.full.items())
+
     def first_place_totals(self, include_top_ties: bool = False) -> dict[str, int]:
         """First-choice support per candidate.
 
@@ -334,9 +341,9 @@ class CondensedProfile(Record):
         vote to each of its pair members.  All-way overvotes never
         contribute; they express no preference.
         """
-        totals = {c: self.bullet.get(c, 0) for c in self.candidates}
-        for (first, _), n in self.full.items():
-            totals[first] += n
+        totals = dict.fromkeys(self.candidates, 0)
+        for prefs, n in self.rankings():
+            totals[prefs[0]] += n
         if include_top_ties:
             for pair, n in self.over2.items():
                 for c in pair:
@@ -345,9 +352,10 @@ class CondensedProfile(Record):
 
     def second_place_totals(self) -> dict[str, int]:
         """Count of full rankings placing each candidate second."""
-        totals = {c: 0 for c in self.candidates}
-        for (_, second), n in self.full.items():
-            totals[second] += n
+        totals = dict.fromkeys(self.candidates, 0)
+        for prefs, n in self.rankings():
+            if len(prefs) > 1:
+                totals[prefs[1]] += n
         return totals
 
     def head_to_head(self, a: str, b: str, include_ties: bool = False) -> tuple[int, int]:
@@ -359,14 +367,11 @@ class CondensedProfile(Record):
         overvotes never rank anyone above anyone.
         """
         votes = {a: 0, b: 0}
-        for c, n in self.bullet.items():
-            if c in votes:
-                votes[c] += n
-        for (first, second), n in self.full.items():
-            if first in votes:
-                votes[first] += n
-            elif second in votes:
-                votes[second] += n
+        for prefs, n in self.rankings():
+            for c in prefs:
+                if c in votes:
+                    votes[c] += n
+                    break
         if include_ties:
             for pair, n in self.over2.items():
                 if (a in pair) != (b in pair):

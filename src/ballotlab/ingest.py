@@ -154,11 +154,10 @@ def _check_ranks(i: int, raw_ballot: list, key: tuple | None, roster_set: frozen
         if marks is None:
             if not isinstance(raw_rank, list) or not all(isinstance(m, str) for m in raw_rank):
                 raise ParseError(f"ballot {i} rank {j + 1} must be an array of mark strings")
-            if not roster_set.issuperset(raw_rank):  # else one set operation passes it
-                for mark in raw_rank:
-                    if mark not in roster_set and not is_write_in(mark):
-                        raise ParseError(
-                            f"ballot {i} rank {j + 1}: mark {mark!r} names no roster candidate")
+            for mark in raw_rank:
+                if mark not in roster_set and not is_write_in(mark):
+                    raise ParseError(
+                        f"ballot {i} rank {j + 1}: mark {mark!r} names no roster candidate")
             marks = rank_sets[tuple(raw_rank)] = frozenset(raw_rank)
         ranks.append(marks)
     return tuple(ranks)

@@ -1,10 +1,11 @@
 """Instant-runoff tabulation over a condensed profile.
 
-Only first-place rankings count in each round.  When no candidate holds
-a strict majority of the active ballots, the unique lowest candidate is
-eliminated and their ballots move to the next-ranked continuing
-candidate or exhaust.  Overvote ballots are invalid under this method
-and are excluded up front (their count is reported).
+Each ballot counts for its highest-ranked continuing candidate.  When no
+candidate holds a strict majority of the active ballots, the unique
+lowest candidate is eliminated; only their ballots move, to the
+next-ranked continuing candidate, or exhaust.  Overvote ballots are
+invalid under this method and are excluded up front (their count is
+reported).
 """
 
 from __future__ import annotations
@@ -54,72 +55,51 @@ class RoundShares(Record):
 def tabulate_irv(profile: CondensedProfile, *, break_ties_by_roster: bool = False) -> IrvOutcome:
     """Run instant-runoff counting to a strict-majority winner.
 
-    An exact tie for the lowest tally is a :class:`DecisiveTieError`
-    unless ``break_ties_by_roster`` is set, in which case the tied
-    candidate latest in roster order is eliminated (useful for
-    deterministic bulk runs, never for reporting a real contest).  A
-    profile without a valid ranked ballot is a
-    :class:`NoValidBallotsError`.
+    Each round counts :meth:`CondensedProfile.rankings` once.  A ballot
+    moves only when its current choice is eliminated, so a tally's rise
+    is a transfer and a drop in active ballots is exhaustion.  An exact
+    tie for the lowest tally is a :class:`DecisiveTieError` unless
+    ``break_ties_by_roster`` is set, in which case the tied candidate
+    latest in roster order is eliminated (useful for deterministic bulk
+    runs, never for reporting a real contest).  A profile without a valid
+    ranked ballot is a :class:`NoValidBallotsError`.
     """
-    # Each valid ranked pattern is a preference list; overvotes are
-    # invalid here and blanks never enter the count.
-    groups: list[tuple[tuple[str, ...], int]] = []
-    for c, n in profile.bullet.items():
-        groups.append(((c,), n))
-    for (first, second), n in profile.full.items():
-        groups.append(((first, second), n))
-    invalid_overvotes = profile.total_overvotes
-
-    if profile.total_valid_ranked == 0:
+    groups = profile.rankings()
+    if not groups:
         raise NoValidBallotsError("no valid ranked ballots to tabulate")
 
-    continuing = list(profile.candidates)
+    continuing = profile.candidates
     rounds: list[IrvRound] = []
-    transfers: dict[str, int] = {}
-    exhausted = 0
-    round_index = 1
-
     while True:
-        tallies = {c: 0 for c in continuing}
+        tallies = dict.fromkeys(continuing, 0)
         for prefs, n in groups:
             for choice in prefs:
-                if choice in continuing:
+                if choice in tallies:
                     tallies[choice] += n
                     break
         active = sum(tallies.values())
         if active == 0:
             raise DecisiveTieError("every remaining ballot is exhausted")
+        # Round 1 is measured against itself: no transfers, nothing exhausted.
+        before = rounds[-1] if rounds else IrvRound(0, tallies, active, {}, 0, None)
+        transfers = {c: n - before.tallies[c] for c, n in tallies.items() if n != before.tallies[c]}
+        exhausted = before.active_ballots - active
 
         leader = max(continuing, key=lambda c: tallies[c])
-        if 2 * tallies[leader] > active:
-            rounds.append(IrvRound(round_index, tallies, active, transfers, exhausted, None))
-            return IrvOutcome(tuple(rounds), leader, invalid_overvotes)
-
-        lowest = min(tallies.values())
-        tied = [c for c in continuing if tallies[c] == lowest]
-        if len(tied) > 1 and not break_ties_by_roster:
-            raise DecisiveTieError(
-                f"exact tie for elimination between {', '.join(tied)}",
-                tied=tuple(tied),
-            )
-        loser = tied[-1]
-
-        rounds.append(IrvRound(round_index, tallies, active, transfers, exhausted, loser))
-
-        next_continuing = [c for c in continuing if c != loser]
-        transfers = {}
-        exhausted = 0
-        for prefs, n in groups:
-            current = next((c for c in prefs if c in continuing), None)
-            if current != loser:
-                continue
-            target = next((c for c in prefs if c in next_continuing), None)
-            if target is None:
-                exhausted += n
-            else:
-                transfers[target] = transfers.get(target, 0) + n
-        continuing = next_continuing
-        round_index += 1
+        loser = None
+        if 2 * tallies[leader] <= active:
+            lowest = min(tallies.values())
+            tied = [c for c in continuing if tallies[c] == lowest]
+            if len(tied) > 1 and not break_ties_by_roster:
+                raise DecisiveTieError(
+                    f"exact tie for elimination between {', '.join(tied)}",
+                    tied=tuple(tied),
+                )
+            loser = tied[-1]
+        rounds.append(IrvRound(len(rounds) + 1, tallies, active, transfers, exhausted, loser))
+        if loser is None:
+            return IrvOutcome(tuple(rounds), leader, profile.total_overvotes)
+        continuing = [c for c in continuing if c != loser]
 
 
 def irv_percentages(outcome: IrvOutcome) -> tuple[RoundShares, ...]:

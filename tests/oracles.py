@@ -17,6 +17,9 @@ from ballotlab import (
     CondensedProfile,
     DecisiveTieError,
     Full,
+    IrvOutcome,
+    IrvRound,
+    NoValidBallotsError,
     OvervoteTopAll,
     OvervoteTopTwo,
     ParseError,
@@ -107,6 +110,58 @@ def brute_pairwise(profile: CondensedProfile, include_ties: bool):
             prefers[(b, a)] = above_b
             no_preference[frozenset((a, b))] = neither
     return prefers, no_preference, len(counted)
+
+
+def brute_irv(profile: CondensedProfile, break_ties_by_roster: bool = False) -> IrvOutcome:
+    """Instant runoff re-read one ballot at a time in every round.
+
+    Each bullet or full-ranking ballot counts for its best-ranked
+    continuing candidate, and each round records, per ballot, whether its
+    choice changed since the previous round (a transfer) or vanished (an
+    exhausted ballot).  Raises the same errors as
+    :func:`ballotlab.tabulate_irv`.
+    """
+    ballots = [b for b in expand_ballots(profile) if b[0] in ("bullet", "full")]
+    if not ballots:
+        raise NoValidBallotsError("no valid ranked ballots to tabulate")
+    continuing = list(profile.candidates)
+    choices = [None] * len(ballots)
+    rounds = []
+    while True:
+        tallies = {c: 0 for c in continuing}
+        transfers: dict[str, int] = {}
+        exhausted = 0
+        for i, ballot in enumerate(ballots):
+            ranked = [c for c in continuing if _rank(ballot, c) is not None]
+            choice = min(ranked, key=lambda c: _rank(ballot, c), default=None)
+            if choice is not None:
+                tallies[choice] += 1
+            if rounds and choice != choices[i]:
+                if choice is None:
+                    exhausted += 1
+                else:
+                    transfers[choice] = transfers.get(choice, 0) + 1
+            choices[i] = choice
+        active = sum(choice is not None for choice in choices)
+        if active == 0:
+            raise DecisiveTieError("every remaining ballot is exhausted")
+        top = max(tallies.values())
+        eliminated = None
+        if 2 * top <= active:
+            lowest = min(tallies.values())
+            tied = [c for c in continuing if tallies[c] == lowest]
+            if len(tied) > 1 and not break_ties_by_roster:
+                raise DecisiveTieError(
+                    f"exact tie for elimination between {', '.join(tied)}", tied=tuple(tied)
+                )
+            eliminated = tied[-1]
+        rounds.append(
+            IrvRound(len(rounds) + 1, tallies, active, transfers, exhausted, eliminated)
+        )
+        if eliminated is None:
+            winner = next(c for c in continuing if tallies[c] == top)
+            return IrvOutcome(tuple(rounds), winner, profile.total_overvotes)
+        continuing.remove(eliminated)
 
 
 def brute_approval(profile: CondensedProfile, approve_second: dict) -> dict[str, int]:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,12 @@ class TestEvaluate:
         scenario = ApprovalScenario({group: 1})
         with pytest.raises(ValueError, match=f"^rate given for unknown group {'>'.join(group)}$"):
             evaluate_approval(alaska_profile, scenario)
+
+    @pytest.mark.parametrize("key", [("Begich",), "AB", ("Begich", "Palin", "X"), (1, 2)])
+    def test_scenario_rejects_a_key_that_is_not_a_pair_of_names(self, key):
+        message = f"^rate given for {re.escape(repr(key))}, not a pair of names$"
+        with pytest.raises(ValueError, match=message):
+            ApprovalScenario({key: 1})
 
 
 class TestUniformThreshold:

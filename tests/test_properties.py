@@ -13,6 +13,7 @@ from ballotlab import (
     CondensedProfile,
     DecisiveTieError,
     MalformedBallotError,
+    NoValidBallotsError,
     ParseError,
     RankedBallot,
     RawCvrDocument,
@@ -39,6 +40,7 @@ from ballotlab import (
 
 from .oracles import (
     brute_approval,
+    brute_irv,
     brute_pairwise,
     brute_star,
     brute_star_scores,
@@ -285,6 +287,25 @@ class TestIrvProperties:
             assert moved == prev.tallies[prev.eliminated]
         final = outcome.rounds[-1]
         assert 2 * final.tallies[outcome.winner] > final.active_ballots
+
+    @given(st.one_of(profiles(), named_profiles()))
+    def test_every_round_matches_per_ballot_irv(self, profile):
+        assert _irv_or_error(lambda: tabulate_irv(profile, break_ties_by_roster=True)) == (
+            _irv_or_error(lambda: brute_irv(profile, True))
+        )
+
+    @given(st.one_of(profiles(), named_profiles()))
+    def test_tie_errors_match_per_ballot_irv(self, profile):
+        assert _irv_or_error(lambda: tabulate_irv(profile)) == (
+            _irv_or_error(lambda: brute_irv(profile))
+        )
+
+
+def _irv_or_error(tabulate):
+    try:
+        return tabulate()
+    except (DecisiveTieError, NoValidBallotsError) as exc:
+        return type(exc), str(exc), getattr(exc, "tied", None)
 
 
 class TestApprovalProperties:

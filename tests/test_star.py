@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,12 @@ class TestEvaluate:
         scenario = StarScenario({group: 2})
         with pytest.raises(ValueError, match=f"^stars given for unknown group {'>'.join(group)}$"):
             evaluate_star(alaska_profile, scenario)
+
+    @pytest.mark.parametrize("key", [("Begich",), "AB", ("Begich", "Palin", "X"), (1, 2)])
+    def test_scenario_rejects_a_key_that_is_not_a_pair_of_names(self, key):
+        message = f"^stars given for {re.escape(repr(key))}, not a pair of names$"
+        with pytest.raises(ValueError, match=message):
+            StarScenario({key: 2})
 
 
 class TestThreshold:
