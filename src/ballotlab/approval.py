@@ -25,11 +25,9 @@ from .rational import bounded_rational, exact_rational
 Group = tuple[str, str]  # (first choice, second choice)
 
 
-def _require_three(profile: CondensedProfile) -> None:
-    if len(profile.candidates) != 3:
-        raise ValueError(
-            f"this model needs exactly 3 candidates, got {len(profile.candidates)}"
-        )
+def _require_roster(profile: CondensedProfile) -> None:
+    if not 2 <= len(profile.candidates) <= 3:
+        raise ValueError(f"this model needs 2 or 3 candidates, got {len(profile.candidates)}")
 
 
 class Scale(Record):
@@ -110,6 +108,7 @@ class Scenario(Record):
 
     def scores(self, profile: CondensedProfile) -> dict[str, Fraction]:
         """Exact score per candidate: guaranteed support plus each group's second choices."""
+        _require_roster(profile)
         (field,) = self.__slots__
         base, _ = score_lines(profile, self.scale.first_weight)
         scores = {c: Fraction(n) for c, n in base.items()}
@@ -163,7 +162,7 @@ def score_lines(profile: CondensedProfile, first_weight: int) -> tuple[dict[str,
 
 def score_range(profile: CondensedProfile, scale: Scale) -> tuple[dict[str, int], dict[str, int]]:
     """Each candidate's score with every second choice at the scale's floor, and at its cap."""
-    _require_three(profile)
+    _require_roster(profile)
     base, slope = score_lines(profile, scale.first_weight)
     return ({c: b + scale.low * slope[c] for c, b in base.items()},
             {c: b + scale.high * slope[c] for c, b in base.items()})
@@ -181,7 +180,6 @@ def _winners(scores: dict[str, int | Fraction], order: tuple[str, ...]) -> tuple
 
 def evaluate_approval(profile: CondensedProfile, scenario: ApprovalScenario) -> ApprovalOutcome:
     """Exact expected approval scores under the scenario."""
-    _require_three(profile)
     scores = scenario.scores(profile)
     total_approvals = sum(scores.values())
     guaranteed = sum(profile.first_place_totals(include_top_ties=True).values())
@@ -254,7 +252,6 @@ def min_second_votes_to_clinch(profile: CondensedProfile, candidate: str, from_g
 def sweep_uniform(profile: CondensedProfile, grid_step, *, start=0,
                   end=1) -> list[tuple[Fraction, tuple[str, ...]]]:
     """Winners at every uniform rate ``start, start+step, ...`` up to ``end``; see :func:`sweep`."""
-    _require_three(profile)
     return sweep(profile, APPROVAL, grid_step, start, end,
                  lambda scores: _winners(scores, profile.candidates))
 
@@ -268,6 +265,7 @@ def sweep(profile: CondensedProfile, scale: Scale, grid_step, start, end,
     d + slope * n`` (see :func:`grid_scores`), which have the same order
     and ties.  The lines are computed once per call, whatever the grid size.
     """
+    _require_roster(profile)
     step, start, end = scale.grid(grid_step, start, end)
     base, slope = score_lines(profile, scale.first_weight)
     return [(Fraction(n, d), winners(scores))

@@ -126,11 +126,15 @@ def _load_profile(args: argparse.Namespace) -> tuple[CondensedProfile, bytes]:
             )
     if fmt == "raw":
         profile, truncated = ingest_counting_truncated(parse_raw(data))
-        if truncated and args.command in ("irv", "pairwise", "condorcet", "squeeze"):
-            raise TruncatedRankingsError(
-                f"{truncated} {'ballot ranks' if truncated == 1 else 'ballots rank'} a candidate "
-                f"after the second choice; with 4 or more candidates {args.command} keeps only "
-                "the first two choices and would ignore the later ones")
+        if truncated:
+            cut = (f"{truncated} {'ballot ranks' if truncated == 1 else 'ballots rank'} a "
+                   "candidate after the second choice")
+            if args.command in ("irv", "pairwise", "condorcet", "squeeze"):
+                raise TruncatedRankingsError(
+                    f"{cut}; with 4 or more candidates {args.command} keeps only "
+                    "the first two choices and would ignore the later ones")
+            print(f"warning: {cut}; the first-and-second-choice profile drops those later "
+                  "choices", file=sys.stderr)
         return profile, data
     return parse_condensed(data), data
 

@@ -75,9 +75,18 @@ def parse_raw(data: bytes) -> RawCvrDocument:
             gc.enable()
 
 
+def _fields(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object's fields; a repeated field raises ``ParseError``."""
+    fields = dict(pairs)
+    if len(fields) < len(pairs):
+        ((name, _),) = Counter(name for name, _ in pairs).most_common(1)
+        raise ParseError(f"raw document repeats field {name!r}")
+    return fields
+
+
 def _parse_raw(data: bytes) -> RawCvrDocument:
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_fields)
     except UnicodeDecodeError as exc:
         raise ParseError(f"raw document is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -263,9 +272,12 @@ def parse_condensed(data: bytes) -> CondensedProfile:
         if len(fields) != 2:
             raise ParseError(f"line {line_no}: expected 'pattern,count', got {line!r}")
         token, raw_count = fields
-        if token in seen:
+        # A pattern, not its spelling: over2 names a set, and there is one over3.
+        key = (frozenset(token[len("over2:"):].split("+")) if token.startswith("over2:")
+               else "over3:" if token.startswith("over3:") else token)
+        if key in seen:
             raise ParseError(f"line {line_no}: duplicate pattern {token!r}")
-        seen.add(token)
+        seen.add(key)
         count = _parse_count(raw_count, line_no)
 
         if token == "blank":

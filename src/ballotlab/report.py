@@ -162,10 +162,6 @@ def emit_range_plot_data(minimum: dict[str, int], profile, *, star: bool = False
     model each second-choice vote spans 3 extra stars (from the 1-star
     floor to the 4-star cap); for approval it spans 1 extra vote.
     """
-    if len(profile.candidates) != 3:
-        raise ValueError(
-            f"plot data needs exactly 3 candidates, got {len(profile.candidates)}"
-        )
     span = 3 if star else 1
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

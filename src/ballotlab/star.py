@@ -34,13 +34,6 @@ STAR = Scale(5, 1, 4, True, "star rating", "stars")
 RunoffTable = dict[tuple[str, str], tuple[int, int, int]]
 
 
-def _require_small_roster(profile: CondensedProfile) -> None:
-    if not 2 <= len(profile.candidates) <= 3:
-        raise ValueError(
-            f"this model needs 2 or 3 candidates, got {len(profile.candidates)}"
-        )
-
-
 class StarScenario(Scenario):
     """Average stars given to each group's second choice, each in [1, 4]."""
 
@@ -96,10 +89,8 @@ def _runoff_table(profile: CondensedProfile) -> RunoffTable:
 
 def _pick_finalists(candidates: tuple[str, ...], scores: dict[str, int | Fraction],
                     table: RunoffTable) -> tuple[str, str]:
-    if len(candidates) == 2:
-        return candidates
     ordered = sorted(candidates, key=lambda c: scores[c], reverse=True)
-    if scores[ordered[1]] > scores[ordered[2]]:
+    if len(ordered) == 2 or scores[ordered[1]] > scores[ordered[2]]:
         pair = ordered[:2]
     elif scores[ordered[0]] > scores[ordered[1]]:
         # Two-way tie for the second berth: the head-to-head between the
@@ -137,7 +128,6 @@ def _runoff(candidates: tuple[str, ...], scores: dict[str, int | Fraction], tabl
 
 def evaluate_star(profile: CondensedProfile, scenario: StarScenario) -> StarOutcome:
     """Score round, finalist selection, and automatic runoff."""
-    _require_small_roster(profile)
     scores = scenario.scores(profile)
 
     finalists, (votes_a, votes_b, no_pref), winners = _runoff(
@@ -193,7 +183,6 @@ def sweep_star(profile: CondensedProfile, grid_step, *, start=1,
     tie raises :class:`DecisiveTieError` at the first grid point where it
     occurs.
     """
-    _require_small_roster(profile)
     table = _runoff_table(profile)
     return sweep(profile, STAR, grid_step, start, end,
                  lambda scores: _runoff(profile.candidates, scores, table)[2])

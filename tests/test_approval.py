@@ -34,7 +34,7 @@ class TestApprovalRange:
 
     def test_requires_three_candidates(self):
         with pytest.raises(ValueError, match="3 candidates"):
-            approval_range(CondensedProfile.zero(("A", "B")))
+            approval_range(CondensedProfile.zero(("A", "B", "C", "D")))
 
 
 class TestEvaluate:

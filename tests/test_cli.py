@@ -171,6 +171,28 @@ class TestTruncatedRankings:
         assert code == 1
         assert err.startswith("error: 1 ballot ranks a candidate after the second choice;")
 
+    WARNING = ("warning: 3 ballots rank a candidate after the second choice; the "
+               "first-and-second-choice profile drops those later choices\n")
+
+    def test_ingest_warns_that_it_drops_later_choices(self, capsys, tmp_path):
+        path = raw_file(tmp_path, self.TWELVE)
+        code, out, err = invoke(capsys, "ingest", path)
+        assert (code, err) == (0, self.WARNING)
+        csv = tmp_path / "profile.csv"
+        assert invoke(capsys, "ingest", path, "--out", str(csv)) == (0, "", self.WARNING)
+        assert csv.read_text() == out
+
+    def test_model_commands_warn_too(self, capsys, tmp_path):
+        path = raw_file(tmp_path, self.TWELVE)
+        code, out, err = invoke(capsys, "star", "threshold", path, "--guaranteed", "C",
+                                "--rival", "D", "--format", "csv")
+        assert (code, err) == (0, self.WARNING)
+        assert out.startswith("item,value\nguaranteed,C\n")
+
+    def test_complete_rankings_give_no_warning(self, capsys, tmp_path):
+        path = raw_file(tmp_path, ["ABC", "BCA", "CAB", "C--"], "ABC")
+        assert invoke(capsys, "ingest", path)[::2] == (0, "")
+
     def test_ingest_writes_the_first_and_second_choice_profile(self, capsys, tmp_path):
         code, out, _ = invoke(capsys, "ingest", raw_file(tmp_path, self.TWELVE))
         assert code == 0
@@ -195,6 +217,63 @@ class TestTruncatedRankings:
         code, out, _ = invoke(capsys, "irv", path, "--format", "csv")
         assert code == 0
         assert "1,A,3,3/5,3/5,0,0,5,winner" in out.splitlines()
+
+
+class TestRosterRule:
+    """Every model that scores each candidate takes 2 or 3 of them; thresholds take any roster."""
+
+    TWO = "pattern,count\nbullet:A,3\nbullet:B,2\nfull:A>B,2\nfull:B>A,4\nover2:A+B,1\n"
+    FOUR = "pattern,count\nbullet:A,3\nbullet:B,2\nbullet:C,1\nbullet:D,1\nfull:A>B,2\nfull:B>A,4\n"
+    SCORING = [
+        ["approval", "range"], ["approval", "range", "--plot-data"],
+        ["approval", "eval", "--p", "3/4"], ["approval", "sweep"],
+        ["approval", "clinch", "--candidate", "A", "--group", "B>A"],
+        ["approval", "threshold", "--riser", "A", "--leader", "B"],
+        ["star", "range"], ["star", "range", "--plot-data"],
+        ["star", "eval", "--s", "2"], ["star", "sweep"],
+    ]
+    REFUSAL = "error: this model needs 2 or 3 candidates, got 4\n"
+
+    def profile(self, tmp_path, content) -> str:
+        path = tmp_path / "profile.csv"
+        path.write_text(content)
+        return str(path)
+
+    def test_approval_range_on_two_candidates(self, capsys, tmp_path):
+        argv = ("approval", "range", self.profile(tmp_path, self.TWO), "--format", "csv")
+        assert invoke(capsys, *argv) == (0, "candidate,min,max\nA,6,10\nB,7,9\n", "")
+
+    def test_star_plot_data_on_two_candidates(self, capsys, tmp_path):
+        argv = ("star", "range", self.profile(tmp_path, self.TWO), "--plot-data")
+        assert invoke(capsys, *argv) == (0, (
+            "candidate,segment,source,value\n"
+            "A,base,,34\nA,potential,B,12\n"
+            "B,base,,37\nB,potential,A,6\n"
+        ), "")
+
+    @pytest.mark.parametrize("command", SCORING, ids=" ".join)
+    def test_scoring_commands_run_on_two_candidates(self, capsys, tmp_path, command):
+        path = self.profile(tmp_path, self.TWO)
+        code, out, err = invoke(capsys, *command[:2], path, *command[2:])
+        assert (code, err) == (0, "")
+        assert out
+
+    @pytest.mark.parametrize("command", SCORING, ids=" ".join)
+    def test_scoring_commands_refuse_four_candidates(self, capsys, tmp_path, command):
+        path = self.profile(tmp_path, self.FOUR)
+        code, out, err = invoke(capsys, *command[:2], path, *command[2:])
+        assert (code, out, err) == (2, "", self.REFUSAL)
+
+    def test_roster_is_refused_before_the_grid(self, capsys, tmp_path):
+        argv = ("star", "sweep", self.profile(tmp_path, self.FOUR), "--grid", "1:4:7")
+        assert invoke(capsys, *argv) == (2, "", self.REFUSAL)
+
+    def test_star_threshold_takes_four_candidates(self, capsys, tmp_path):
+        argv = ("star", "threshold", self.profile(tmp_path, self.FOUR),
+                "--guaranteed", "A", "--rival", "B", "--format", "csv")
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert "threshold_stars,163/50\nachieved_score,951/25\nrival_maximum,38\n" in out
 
 
 class TestCommandOutputs:

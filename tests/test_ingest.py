@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import sys
 
 import pytest
@@ -57,6 +58,21 @@ class TestParseRaw:
     def test_duplicate_candidates_rejected(self):
         with pytest.raises(ParseError, match="distinct"):
             parse_raw(raw_doc([], candidates=("A", "A")))
+
+    @pytest.mark.parametrize("field", ["candidates", "ballots"])
+    def test_repeated_field_rejected(self, field):
+        fields = {"candidates": '["A", "B", "C"]',
+                  "ballots": '[[["A"], [], []], [["B"], [], []]]'}
+        data = ", ".join(f'"{name}": {value}' for name, value in fields.items())
+        with pytest.raises(ParseError, match=f"^raw document repeats field '{field}'$"):
+            parse_raw(f'{{{data}, "{field}": {fields[field]}}}'.encode())
+
+    def test_repeated_field_is_a_cli_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "raw.json"
+        path.write_text('{"candidates": ["A", "B", "C"], "ballots": [[["A"], [], []], '
+                        '[["B"], [], []]], "ballots": [[["A"], [], []]]}')
+        assert run(["ingest", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: raw document repeats field 'ballots'\n")
 
 
 class TestIngest:
@@ -211,7 +227,9 @@ class TestGcPause:
     def test_collector_is_paused_while_decoding(self, gc_before, monkeypatch):
         seen = []
         loads = json.loads
-        monkeypatch.setattr(json, "loads", lambda text: seen.append(gc.isenabled()) or loads(text))
+        monkeypatch.setattr(
+            json, "loads", lambda text, **kw: seen.append(gc.isenabled()) or loads(text, **kw)
+        )
         parse_raw(raw_doc([VALID]))
         assert seen == [False]
 
@@ -270,6 +288,22 @@ class TestCondensedFile:
     def test_duplicate_pattern(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse_condensed(b"pattern,count\nbullet:A,1\nbullet:A,2\n")
+
+    @pytest.mark.parametrize("first, second", [
+        ("over2:A+B", "over2:B+A"),
+        ("over3:A+B+C", "over3:C+B+A"),
+        ("over3:A+B+C", "over3:A+B"),
+    ])
+    def test_respelled_pattern_is_a_duplicate(self, first, second):
+        data = f"pattern,count\nbullet:C,1\n{first},5\n{second},7\n".encode()
+        with pytest.raises(ParseError, match=re.escape(f"line 4: duplicate pattern '{second}'")):
+            parse_condensed(data)
+
+    def test_respelled_pair_keeps_its_counts_out_of_pairwise(self, capsys, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text("pattern,count\nfull:A>C,1\nover2:A+B,5\nover2:B+A,7\n")
+        assert run(["pairwise", str(path), "--basis", "include-ties"]) == 2
+        assert capsys.readouterr() == ("", "error: line 4: duplicate pattern 'over2:B+A'\n")
 
     def test_negative_count(self):
         with pytest.raises(ParseError, match="negative"):

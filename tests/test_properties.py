@@ -1,3 +1,4 @@
+import contextlib
 import json
 import random
 from fractions import Fraction
@@ -507,3 +508,44 @@ class TestClosedFormModels:
             (outcome.runoff_tallies[a], outcome.runoff_tallies[b], outcome.runoff_no_preference),
             outcome.winners,
         ) == expected
+
+
+class TestRosterRule:
+    """Every model that scores each candidate takes 2 or 3 of them; thresholds take any roster."""
+
+    @given(named_profiles(), rates, star_ratings)
+    def test_scoring_models_take_two_or_three_candidates(self, profile, p, s):
+        n = len(profile.candidates)
+        for model in (
+            lambda: approval_range(profile),
+            lambda: star_range(profile),
+            lambda: evaluate_approval(profile, ApprovalScenario.uniform(profile, p)),
+            lambda: evaluate_star(profile, StarScenario.uniform(profile, s)),
+            lambda: sweep_uniform(profile, Fraction(1, 4)),
+            lambda: sweep_star(profile, 1),
+        ):
+            if n <= 3:
+                with contextlib.suppress(DecisiveTieError):
+                    model()
+            else:
+                with pytest.raises(ValueError) as exc:
+                    model()
+                assert str(exc.value) == f"this model needs 2 or 3 candidates, got {n}"
+
+    @given(named_profiles(), st.data())
+    def test_thresholds_take_any_roster(self, profile, data):
+        a, b = data.draw(st.permutations(profile.candidates))[:2]
+        uniform_threshold(profile, a, b)
+        with contextlib.suppress(UnattainableError):
+            uniform_star_threshold(profile, a, b)
+
+    def test_roster_is_refused_before_the_grid_and_the_groups(self):
+        profile = CondensedProfile.zero(("A", "B", "C", "D"))
+        for model in (
+            lambda: sweep_uniform(profile, 0),
+            lambda: sweep_star(profile, 7),
+            lambda: evaluate_approval(profile, ApprovalScenario({("X", "Y"): 1})),
+            lambda: evaluate_star(profile, StarScenario({("X", "Y"): 2})),
+        ):
+            with pytest.raises(ValueError, match="^this model needs 2 or 3 candidates, got 4$"):
+                model()

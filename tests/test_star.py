@@ -36,7 +36,7 @@ class TestStarRange:
 
     def test_requires_three_candidates(self):
         with pytest.raises(ValueError, match="3 candidates"):
-            star_range(CondensedProfile.zero(("A", "B")))
+            star_range(CondensedProfile.zero(("A", "B", "C", "D")))
 
 
 class TestEvaluate:
