@@ -38,7 +38,7 @@ from .errors import (
     TruncatedRankingsError,
     UnattainableError,
 )
-from .ingest import ingest_counting_truncated, parse_condensed, parse_raw, write_condensed
+from .ingest import ingest_raw, parse_condensed, write_condensed
 from .rational import decimal_string, exact_rational, fraction_token
 from .report import (
     FORMATS,
@@ -125,7 +125,7 @@ def _load_profile(args: argparse.Namespace) -> tuple[CondensedProfile, bytes]:
                 f"cannot infer input format of {args.file!r}; pass --input-format"
             )
     if fmt == "raw":
-        profile, truncated = ingest_counting_truncated(parse_raw(data))
+        profile, truncated = ingest_raw(data)
         if truncated:
             cut = (f"{truncated} {'ballot ranks' if truncated == 1 else 'ballots rank'} a "
                    "candidate after the second choice")

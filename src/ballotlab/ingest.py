@@ -12,6 +12,10 @@ Two formats are supported:
   ``over2:<C1>+<C2>``, ``over3:<C1>+...+<Cn>`` (the whole roster), and
   ``blank``.  Missing patterns read as zero.  Candidate names must not
   contain ``,``, ``>`` or ``+``.
+
+The command line reads a raw document in one pass (:func:`ingest_raw`);
+the library's :func:`parse_raw` then :func:`ingest` give the same profile
+through the same checks and the same per-grid tail.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import gc
 import json
 from collections import Counter
+from functools import wraps
 
 from .core import (
     CondensedProfile,
@@ -29,7 +34,6 @@ from .core import (
     classify_ballot,
     condense_weighted,
     is_write_in,
-    roster_marks,
     validate_roster,
 )
 from .errors import ParseError
@@ -51,28 +55,53 @@ class RawCvrDocument(Record):
     ballots: tuple[RankedBallot, ...]
 
 
+def _gc_paused(read):
+    """``read`` with the cyclic garbage collector paused, then restored:
+    decoded JSON is a tree, freed before the collector resumes, so rescanning
+    its lists would find nothing."""
+    @wraps(read)
+    def paused(data: bytes):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return read(data)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
+@_gc_paused
 def parse_raw(data: bytes) -> RawCvrDocument:
-    """Parse and structurally validate a raw CVR document.
+    """Parse and structurally validate a raw CVR document: the checks and
+    errors of :func:`ingest_raw`, keeping one ballot per voter.  Voters with
+    the same grid share one :class:`RankedBallot`."""
+    roster, raw_ballots = _document(data)
+    ballots: dict[tuple[frozenset[str], ...], RankedBallot] = {}  # one per distinct grid
+    grids = _grids(raw_ballots, frozenset(roster), lambda marks: marks,
+                   lambda ranks: ballots.setdefault(ranks, RankedBallot(ranks)))
+    return RawCvrDocument(candidates=roster, ballots=tuple(grids))
 
-    Every ballot is checked for being an array with the first ballot's
-    rank count.  The per-rank checks run only where the raw marks are new:
-    a ballot repeating an earlier ballot's marks reuses its
-    :class:`RankedBallot`, and a rank repeating an earlier rank's marks
-    reuses its mark set.  What is reused passed the checks at its first
-    occurrence, so an error still names the first offending ballot and
-    rank.
 
-    The cyclic garbage collector is paused meanwhile, then restored: decoded
-    JSON is a tree, freed before the collector resumes, so rescanning its
-    lists would find nothing.
+@_gc_paused
+def ingest_raw(data: bytes) -> tuple[CondensedProfile, int]:
+    """``ingest_counting_truncated(parse_raw(data))`` in one pass over the ballots.
+
+    Each rank's raw marks map once to their roster-only mark set, and each
+    ballot is counted under its roster-only grid; no per-voter ballot is
+    kept.  ``classify_ballot`` runs only after every ballot passed the checks
+    of :func:`_grids`, so a parse error comes ahead of a classification error.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _parse_raw(data)
-    finally:
-        if enabled:
-            gc.enable()
+    roster, raw_ballots = _document(data)
+    roster_set = frozenset(roster)
+    kept: dict[frozenset[str], frozenset[str]] = {}  # one shared set per roster-only mark set
+
+    def roster_only(marks: frozenset[str]) -> frozenset[str]:
+        marks &= roster_set
+        return kept.setdefault(marks, marks)
+
+    return _tally(Counter(_grids(raw_ballots, roster_set, roster_only,
+                                 _compressor(len(roster)))).items(), roster)
 
 
 def _fields(pairs: list[tuple[str, object]]) -> dict:
@@ -84,7 +113,8 @@ def _fields(pairs: list[tuple[str, object]]) -> dict:
     return fields
 
 
-def _parse_raw(data: bytes) -> RawCvrDocument:
+def _document(data: bytes) -> tuple[tuple[str, ...], list]:
+    """Decode a raw CVR and check its fields and roster: the roster, the raw ballots."""
     try:
         doc = json.loads(data.decode("utf-8"), object_pairs_hook=_fields)
     except UnicodeDecodeError as exc:
@@ -110,19 +140,29 @@ def _parse_raw(data: bytes) -> RawCvrDocument:
         roster = validate_roster(doc["candidates"])
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    roster_set = frozenset(roster)
 
     if not isinstance(doc["ballots"], list):
         raise ParseError("'ballots' must be an array")
-    # checked: raw-mark key of a grid that passed the checks -> its ballot.
-    # rank_sets: marks of a rank that passed them -> one shared frozenset.
-    # grids: one ballot per distinct grid of mark sets.
-    checked: dict[tuple, RankedBallot] = {}
-    rank_sets: dict[tuple[str, ...], frozenset[str]] = {}
-    grids: dict[RankedBallot, RankedBallot] = {}
-    ballots = []
+    return roster, doc["ballots"]
+
+
+def _grids(raw_ballots: list, roster_set: frozenset[str], rank_marks, grid_of):
+    """Check each raw ballot in file order and yield its grid: ``grid_of`` the
+    tuple of ``rank_marks(marks)`` over each rank's mark set.
+
+    Every ballot is checked for being an array with the first ballot's rank
+    count.  The per-rank checks run only where the raw marks are new: a
+    ballot repeating an earlier ballot's raw marks yields its grid, and a
+    rank repeating an earlier rank's raw marks reuses their ``rank_marks``.
+    What is reused passed the checks at its first occurrence, so an error
+    still names the first offending ballot and rank.
+    """
+    # checked: raw-mark key of a ballot that passed the checks -> its grid.
+    # ranks_seen: raw marks of a rank that passed them -> rank_marks of their set.
+    checked: dict[tuple, object] = {}
+    ranks_seen: dict[tuple[str, ...], frozenset[str]] = {}
     rank_positions: int | None = None
-    for i, raw_ballot in enumerate(doc["ballots"]):
+    for i, raw_ballot in enumerate(raw_ballots):
         if not isinstance(raw_ballot, list):
             raise ParseError(f"ballot {i} must be an array of rank positions")
         if rank_positions is None:
@@ -134,50 +174,49 @@ def _parse_raw(data: bytes) -> RawCvrDocument:
         # The rank types are part of the key: a string or object rank
         # iterates to the same marks as an array of them.  A rank that is
         # not iterable, or an array or object mark, raises TypeError here
-        # and fails the checks in _check_ranks.
+        # and fails the checks in _check_rank.
         try:
             key = (*map(tuple, raw_ballot), *map(type, raw_ballot))
-            ballot = checked.get(key)
+            grid = checked.get(key)
         except TypeError:
-            key = ballot = None
-        if ballot is None:
-            ballot = RankedBallot(_check_ranks(i, raw_ballot, key, roster_set, rank_sets))
-            ballot = grids.setdefault(ballot, ballot)
+            key = grid = None
+        if grid is None:
+            ranks = []
+            for j, raw_rank in enumerate(raw_ballot):
+                marks = (ranks_seen.get(key[j]) if key is not None and isinstance(raw_rank, list)
+                         else None)
+                if marks is None:
+                    marks = ranks_seen[tuple(raw_rank)] = rank_marks(
+                        _check_rank(i, j, raw_rank, roster_set))
+                ranks.append(marks)
+            grid = grid_of(tuple(ranks))
             if key is not None:
-                checked[key] = ballot
-        ballots.append(ballot)
-    return RawCvrDocument(candidates=roster, ballots=tuple(ballots))
+                checked[key] = grid
+        yield grid
 
 
-def _check_ranks(i: int, raw_ballot: list, key: tuple | None, roster_set: frozenset[str],
-                 rank_sets: dict[tuple[str, ...], frozenset[str]]) -> tuple[frozenset[str], ...]:
-    """Check ballot ``i``'s rank positions and return their mark sets.
-
-    ``key`` is the ballot's raw-mark key, or None if it has none.  A rank
-    that is an array whose marks are already in ``rank_sets`` passed the
-    checks before and is not checked again.
-    """
-    ranks = []
-    for j, raw_rank in enumerate(raw_ballot):
-        marks = rank_sets.get(key[j]) if key is not None and isinstance(raw_rank, list) else None
-        if marks is None:
-            if not isinstance(raw_rank, list) or not all(isinstance(m, str) for m in raw_rank):
-                raise ParseError(f"ballot {i} rank {j + 1} must be an array of mark strings")
-            for mark in raw_rank:
-                if mark not in roster_set and not is_write_in(mark):
-                    raise ParseError(
-                        f"ballot {i} rank {j + 1}: mark {mark!r} names no roster candidate")
-            marks = rank_sets[tuple(raw_rank)] = frozenset(raw_rank)
-        ranks.append(marks)
-    return tuple(ranks)
+def _check_rank(i: int, j: int, raw_rank: object, roster_set: frozenset[str]) -> frozenset[str]:
+    """Ballot ``i``'s rank ``j + 1``, checked: its mark set.  Roster names are
+    strings, so only the marks off the roster (one set difference) are tested
+    for their type and the write-in prefix."""
+    try:
+        marks = frozenset(raw_rank) if isinstance(raw_rank, list) else None
+    except TypeError:  # an array or object mark
+        marks = None
+    if marks is not None:
+        unknown = [m for m in marks - roster_set if not (isinstance(m, str) and is_write_in(m))]
+        if not unknown:
+            return marks
+        if all(isinstance(m, str) for m in unknown):
+            mark = next(m for m in raw_rank if m in unknown)  # the first in rank order
+            raise ParseError(f"ballot {i} rank {j + 1}: mark {mark!r} names no roster candidate")
+    raise ParseError(f"ballot {i} rank {j + 1} must be an array of mark strings")
 
 
-class _RosterMarks(dict):
-    """Rank mark set -> its marks on ``roster_set``, one shared set per distinct result."""
-
-    def __missing__(self, marks: frozenset[str]) -> frozenset[str]:
-        kept = roster_marks(marks, self.roster_set)
-        return self.setdefault(marks, self.setdefault(kept, kept))
+def _compressor(size: int):
+    """Drops a grid's empty ranks.  A grid of more than ``size`` ranks stays
+    whole, for ``classify_ballot`` to reject by its rank count."""
+    return lambda ranks: ranks if len(ranks) > size else tuple(filter(None, ranks))
 
 
 def ingest(doc: RawCvrDocument) -> CondensedProfile:
@@ -191,22 +230,39 @@ def ingest_counting_truncated(doc: RawCvrDocument) -> tuple[CondensedProfile, in
     """:func:`ingest`'s profile and its number of truncated ballots: with 4 or
     more candidates, those whose roster-only grid names a third candidate after
     the rank that supplied the second choice, a choice the profile drops."""
-    roster = doc.candidates
-    roster_set = classification_roster(tuple(roster)) if doc.ballots else frozenset()
-    reduced = _RosterMarks()
-    reduced.roster_set = roster_set
-    grids = dict(zip(map(id, doc.ballots), doc.ballots))
+    roster_set = classification_roster(tuple(doc.candidates)) if doc.ballots else frozenset()
+    reduced = _WithoutWriteIns(roster_set)
+    compressed = _compressor(len(roster_set))
+    ballots = dict(zip(map(id, doc.ballots), doc.ballots))
+    return _tally(((compressed(tuple(map(reduced.__getitem__, ballots[key].ranks))), n)
+                   for key, n in Counter(map(id, doc.ballots)).items()), doc.candidates)
+
+
+class _WithoutWriteIns(dict):
+    """Rank mark set -> the set without its write-ins, one shared set per
+    distinct result.  A mark that is neither a roster name nor a write-in
+    stays, for ``classify_ballot`` to name."""
+
+    def __init__(self, roster_set: frozenset[str]) -> None:
+        self.roster_set = roster_set
+
+    def __missing__(self, marks: frozenset[str]) -> frozenset[str]:
+        kept = marks.difference(filter(is_write_in, marks - self.roster_set))
+        return self.setdefault(marks, self.setdefault(kept, kept))
+
+
+def _tally(weighted, roster: tuple[str, ...]) -> tuple[CondensedProfile, int]:
+    """Profile and truncated-ballot count of ``(roster-only grid, ballots)``
+    pairs, a grid possibly in several.  ``classify_ballot`` runs once per
+    distinct grid, in order of first appearance, as the pairs are read."""
     classes, weights = {}, {}  # roster-only grid -> its class, its number of ballots
-    for key, n in Counter(map(id, doc.ballots)).items():
-        grid = grids[key].ranks
-        if len(grid) <= len(roster_set):  # else classify_ballot rejects it whole
-            grid = tuple(filter(None, map(reduced.__getitem__, grid)))
+    for grid, n in weighted:
         if grid not in classes:
             classes[grid] = classify_ballot(RankedBallot(grid), roster)
         weights[grid] = weights.get(grid, 0) + n
     profile = condense_weighted(((classes[g], n) for g, n in weights.items()), roster)
     # A Full's ranks up to its second choice name only those two: a third name comes later.
-    return profile, sum(n for g, n in weights.items() if len(roster_set) > 3
+    return profile, sum(n for g, n in weights.items() if len(roster) > 3
                         and classes[g].__class__ is Full and len(frozenset().union(*g)) > 2)
 
 

@@ -8,7 +8,10 @@ import pytest
 from ballotlab import (
     CondensedProfile,
     Full,
+    MalformedBallotError,
     ParseError,
+    RankedBallot,
+    RawCvrDocument,
     classify_ballot,
     ingest,
     parse_condensed,
@@ -16,6 +19,7 @@ from ballotlab import (
     write_condensed,
 )
 from ballotlab.cli import run
+from ballotlab.ingest import ingest_raw
 
 from .conftest import alaska
 
@@ -108,6 +112,19 @@ class TestIngest:
         total = profile.total_with_any_mark + profile.blank_count
         assert total == len(doc.ballots)
 
+    @pytest.mark.parametrize(("ranks", "message"), [
+        pytest.param([{"WRITEIN:w", "Z", "A"}, {"B"}, set()],
+                     "mark 'Z' names no roster candidate", id="unknown-mark-beside-a-write-in"),
+        pytest.param([{"Z"}, {"B"}, set(), set()],
+                     "ballot has 4 rank positions but the roster has only 3 candidates",
+                     id="rank-count-beats-unknown-mark"),
+    ])
+    def test_hand_built_document_errors(self, ranks, message):
+        doc = RawCvrDocument(("A", "B", "C"), (RankedBallot.from_marks([["A"], ["B"], []]),
+                                               RankedBallot.from_marks(ranks)))
+        with pytest.raises(MalformedBallotError, match=f"^{re.escape(message)}$"):
+            ingest(doc)
+
 
 VALID = [["A"], ["B"], []]
 
@@ -181,6 +198,31 @@ class TestRepeatedGridErrors:
                 "ballot 1 rank 4 must be an array of mark strings",
                 id="structural-error-beats-earlier-overvote",
             ),
+            pytest.param(
+                [VALID, [["Z"], [], []]], "AB",
+                "ballot 1 rank 1: mark 'Z' names no roster candidate",
+                id="unknown-mark-beats-rank-count",
+            ),
+            pytest.param(
+                [VALID], "AB",
+                "ballot has 3 rank positions but the roster has only 2 candidates",
+                id="rank-count-once-every-ballot-is-checked",
+            ),
+            pytest.param(
+                [VALID, [["WRITEIN:a", "Y", "A", "X"], [], []]], "ABC",
+                "ballot 1 rank 1: mark 'Y' names no roster candidate",
+                id="first-unknown-mark-in-rank-order",
+            ),
+            pytest.param(
+                [VALID, [["Z", 1], [], []]], "ABC",
+                "ballot 1 rank 1 must be an array of mark strings",
+                id="non-string-mark-beats-unknown-mark",
+            ),
+            pytest.param(
+                [VALID, [["A"], [True], []]], "ABC",
+                "ballot 1 rank 2 must be an array of mark strings",
+                id="boolean-mark",
+            ),
         ],
     )
     def test_exact_message_and_exit_code(self, capsys, tmp_path, ballots, candidates, message):
@@ -233,6 +275,34 @@ class TestGcPause:
         parse_raw(raw_doc([VALID]))
         assert seen == [False]
 
+    @pytest.mark.parametrize(("data", "error"), [
+        pytest.param(raw_doc([VALID, [["WRITEIN:w"], ["A"], []]]), None, id="valid"),
+        pytest.param(b'{"candidates": [', "syntax error", id="bad-json"),
+        pytest.param(raw_doc([VALID, [["A"], ["D"], []]]), "names no roster", id="bad-ballot"),
+        pytest.param(raw_doc([[["A", "B", "C"], [], [], []]], "ABCD"), "top-rank overvote",
+                     id="unclassifiable-ballot"),
+    ])
+    def test_one_pass_restores_the_setting(self, gc_before, data, error):
+        if error is None:
+            ingest_raw(data)
+        else:
+            with pytest.raises(ValueError, match=error):
+                ingest_raw(data)
+        assert gc.isenabled() is gc_before
+
+    def test_one_pass_pauses_the_collector_from_decoding_to_condensing(self, gc_before, monkeypatch):
+        seen = []
+        loads = json.loads
+        monkeypatch.setattr(
+            json, "loads", lambda text, **kw: seen.append(gc.isenabled()) or loads(text, **kw)
+        )
+        monkeypatch.setattr(
+            sys.modules["ballotlab.ingest"], "classify_ballot",
+            lambda ballot, roster: seen.append(gc.isenabled()) or classify_ballot(ballot, roster)
+        )
+        ingest_raw(raw_doc([VALID, [["B"], [], []]]))
+        assert seen == [False, False, False]
+
 
 class TestClassifyOncePerRosterOnlyGrid:
     def test_grids_differing_in_write_ins_order_and_empty_ranks(self, monkeypatch):
@@ -268,6 +338,28 @@ class TestClassifyOncePerRosterOnlyGrid:
             [["C"], ["A"], []], [["A"], ["B"], []], [["C"], ["WRITEIN:q"], ["A"]], [["A"], [], ["B"]],
         ])))
         assert classes == [Full("C", "A"), Full("A", "B")]
+
+    def test_one_pass_counts_each_ballot_under_its_roster_only_grid(self, monkeypatch):
+        grids = []
+
+        def counting(ballot, roster):
+            grids.append(ballot.ranks)
+            return classify_ballot(ballot, roster)
+
+        monkeypatch.setattr(sys.modules["ballotlab.ingest"], "classify_ballot", counting)
+        profile, truncated = ingest_raw(raw_doc([
+            [["C"], ["A"], []],
+            [["A"], [], ["B"]],
+            [["WRITEIN:x"], ["A"], ["B"]],
+            [["B", "WRITEIN:y"], [], []],
+            [["A", "WRITEIN:y"], ["WRITEIN:z", "B"], []],
+            [["C"], ["WRITEIN:q"], ["A"]],
+        ]))
+        assert profile == CondensedProfile(("A", "B", "C"), {"B": 1},
+                                           {("A", "B"): 3, ("C", "A"): 2}, {})
+        assert truncated == 0
+        assert grids == [(frozenset("C"), frozenset("A")), (frozenset("A"), frozenset("B")),
+                         (frozenset("B"),)]
 
 
 class TestCondensedFile:

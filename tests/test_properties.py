@@ -52,7 +52,7 @@ from .oracles import (
     scaled,
     truncated_ballots,
 )
-from ballotlab.ingest import ingest_counting_truncated
+from ballotlab.ingest import ingest_counting_truncated, ingest_raw
 
 ABC = ("A", "B", "C")
 GROUPS = tuple((a, b) for a in ABC for b in ABC if a != b)
@@ -179,6 +179,19 @@ class TestRawIngest:
     def test_matches_per_ballot_ingest(self, doc):
         data = json.dumps(doc).encode()
         assert _outcome(lambda: ingest(parse_raw(data))) == _outcome(lambda: per_ballot_ingest(doc))
+
+    @given(raw_documents())
+    def test_one_pass_matches_parse_then_ingest(self, doc):
+        data = json.dumps(doc).encode()
+        one_pass = _outcome(lambda: ingest_raw(data))
+        assert one_pass == _outcome(lambda: ingest_counting_truncated(parse_raw(data)))
+        # The two paths share their checks; the per-ballot reading shares none of them.
+        if isinstance(one_pass[0], CondensedProfile):
+            assert one_pass[0] == per_ballot_ingest(doc)
+            ballots = [RankedBallot.from_marks(b) for b in doc["ballots"]]
+            assert one_pass[1] == truncated_ballots(ballots, tuple(doc["candidates"]))
+        else:
+            assert one_pass == _outcome(lambda: per_ballot_ingest(doc))
 
 
 @st.composite
