@@ -2,20 +2,21 @@
 
 Two formats are supported:
 
-* **Raw cast-vote-record document** -- a UTF-8 JSON object
-  ``{"candidates": [...], "ballots": [[["A"], ["B"], []], ...]}`` where
-  each ballot is an array of rank positions and each rank position an
-  array of mark strings.  Write-in marks carry the ``WRITEIN:`` prefix.
+* **Raw cast-vote-record document** -- a UTF-8 JSON object (a BOM may
+  lead) ``{"candidates": [...], "ballots": [[["A"], ["B"], []], ...]}``
+  where each ballot is an array of rank positions and each rank position
+  an array of mark strings.  Write-in marks carry the ``WRITEIN:`` prefix.
 
 * **Condensed profile file** -- UTF-8 CSV with header ``pattern,count``
-  and one row per preference pattern: ``bullet:<C>``, ``full:<C1>><C2>``,
-  ``over2:<C1>+<C2>``, ``over3:<C1>+...+<Cn>`` (the whole roster), and
-  ``blank``.  Missing patterns read as zero.  Candidate names must not
-  contain ``,``, ``>`` or ``+``.
+  and one row per preference pattern: ``blank`` or a ``kind:names`` row
+  read through one table, ``_PATTERNS``: ``bullet:<C>``,
+  ``full:<C1>><C2>``, ``over2:<C1>+<C2>`` and ``over3:<C1>+...+<Cn>``
+  (the whole roster).  Missing patterns read as zero.  Candidate names
+  must not contain ``,``, ``>``, ``+`` or a newline.
 
-The command line reads a raw document in one pass (:func:`ingest_raw`);
-the library's :func:`parse_raw` then :func:`ingest` give the same profile
-through the same checks and the same per-grid tail.
+The command line's one pass (:func:`ingest_raw`) and the library's
+:func:`parse_raw` then :func:`ingest` run the same checks and end in one
+tail, :func:`_tally`: classify, condense and count truncated ballots.
 """
 
 from __future__ import annotations
@@ -40,7 +41,10 @@ from .errors import ParseError
 
 MAX_COUNT = 2**63 - 1  # counts must fit a 64-bit signed integer
 
-_RESERVED = (",", ">", "+")
+_RESERVED = (",", ">", "+", "\n")
+
+# kind -> (name separator, number of names; 0: two or more distinct names)
+_PATTERNS = {"bullet": ("", 1), "full": (">", 2), "over2": ("+", 2), "over3": ("+", 0)}
 
 
 class RawCvrDocument(Record):
@@ -77,15 +81,14 @@ def parse_raw(data: bytes) -> RawCvrDocument:
     errors of :func:`ingest_raw`, keeping one ballot per voter.  Voters with
     the same grid share one :class:`RankedBallot`."""
     roster, raw_ballots = _document(data)
-    ballots: dict[tuple[frozenset[str], ...], RankedBallot] = {}  # one per distinct grid
-    grids = _grids(raw_ballots, frozenset(roster), lambda marks: marks,
-                   lambda ranks: ballots.setdefault(ranks, RankedBallot(ranks)))
-    return RawCvrDocument(candidates=roster, ballots=tuple(grids))
+    grids = list(_grids(raw_ballots, frozenset(roster), lambda marks: marks))
+    shared = {grid: RankedBallot(grid) for grid in dict.fromkeys(grids)}
+    return RawCvrDocument(candidates=roster, ballots=tuple(map(shared.__getitem__, grids)))
 
 
 @_gc_paused
 def ingest_raw(data: bytes) -> tuple[CondensedProfile, int]:
-    """``ingest_counting_truncated(parse_raw(data))`` in one pass over the ballots.
+    """``ingest(parse_raw(data))`` and :func:`_tally`'s truncated count, in one pass.
 
     Each rank's raw marks map once to their roster-only mark set, and each
     ballot is counted under its roster-only grid; no per-voter ballot is
@@ -100,8 +103,7 @@ def ingest_raw(data: bytes) -> tuple[CondensedProfile, int]:
         marks &= roster_set
         return kept.setdefault(marks, marks)
 
-    return _tally(Counter(_grids(raw_ballots, roster_set, roster_only,
-                                 _compressor(len(roster)))).items(), roster)
+    return _tally(Counter(_grids(raw_ballots, roster_set, roster_only)).items(), roster)
 
 
 def _fields(pairs: list[tuple[str, object]]) -> dict:
@@ -116,13 +118,17 @@ def _fields(pairs: list[tuple[str, object]]) -> dict:
 def _document(data: bytes) -> tuple[tuple[str, ...], list]:
     """Decode a raw CVR and check its fields and roster: the roster, the raw ballots."""
     try:
-        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_fields)
+        doc = json.loads(data.decode("utf-8-sig"), object_pairs_hook=_fields)
     except UnicodeDecodeError as exc:
         raise ParseError(f"raw document is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"raw document syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ParseError:  # a repeated field
+        raise
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, deep nesting
+        raise ParseError(f"raw document cannot be read: {exc}") from exc
 
     if not isinstance(doc, dict):
         raise ParseError("raw document must be a JSON object")
@@ -146,9 +152,9 @@ def _document(data: bytes) -> tuple[tuple[str, ...], list]:
     return roster, doc["ballots"]
 
 
-def _grids(raw_ballots: list, roster_set: frozenset[str], rank_marks, grid_of):
-    """Check each raw ballot in file order and yield its grid: ``grid_of`` the
-    tuple of ``rank_marks(marks)`` over each rank's mark set.
+def _grids(raw_ballots: list, roster_set: frozenset[str], rank_marks):
+    """Check each raw ballot in file order and yield its grid: the tuple of
+    ``rank_marks(marks)`` over each rank's mark set.
 
     Every ballot is checked for being an array with the first ballot's rank
     count.  The per-rank checks run only where the raw marks are new: a
@@ -159,7 +165,7 @@ def _grids(raw_ballots: list, roster_set: frozenset[str], rank_marks, grid_of):
     """
     # checked: raw-mark key of a ballot that passed the checks -> its grid.
     # ranks_seen: raw marks of a rank that passed them -> rank_marks of their set.
-    checked: dict[tuple, object] = {}
+    checked: dict[tuple, tuple[frozenset[str], ...]] = {}
     ranks_seen: dict[tuple[str, ...], frozenset[str]] = {}
     rank_positions: int | None = None
     for i, raw_ballot in enumerate(raw_ballots):
@@ -189,7 +195,7 @@ def _grids(raw_ballots: list, roster_set: frozenset[str], rank_marks, grid_of):
                     marks = ranks_seen[tuple(raw_rank)] = rank_marks(
                         _check_rank(i, j, raw_rank, roster_set))
                 ranks.append(marks)
-            grid = grid_of(tuple(ranks))
+            grid = tuple(ranks)
             if key is not None:
                 checked[key] = grid
         yield grid
@@ -213,29 +219,15 @@ def _check_rank(i: int, j: int, raw_rank: object, roster_set: frozenset[str]) ->
     raise ParseError(f"ballot {i} rank {j + 1} must be an array of mark strings")
 
 
-def _compressor(size: int):
-    """Drops a grid's empty ranks.  A grid of more than ``size`` ranks stays
-    whole, for ``classify_ballot`` to reject by its rank count."""
-    return lambda ranks: ranks if len(ranks) > size else tuple(filter(None, ranks))
-
-
 def ingest(doc: RawCvrDocument) -> CondensedProfile:
     """Condense a raw CVR.  ``classify_ballot`` runs once per distinct
     roster-only grid (write-ins dropped, empty ranks removed), in order of
     first appearance, so an error is the first offending ballot's."""
-    return ingest_counting_truncated(doc)[0]
-
-
-def ingest_counting_truncated(doc: RawCvrDocument) -> tuple[CondensedProfile, int]:
-    """:func:`ingest`'s profile and its number of truncated ballots: with 4 or
-    more candidates, those whose roster-only grid names a third candidate after
-    the rank that supplied the second choice, a choice the profile drops."""
     roster_set = classification_roster(tuple(doc.candidates)) if doc.ballots else frozenset()
     reduced = _WithoutWriteIns(roster_set)
-    compressed = _compressor(len(roster_set))
     ballots = dict(zip(map(id, doc.ballots), doc.ballots))
-    return _tally(((compressed(tuple(map(reduced.__getitem__, ballots[key].ranks))), n)
-                   for key, n in Counter(map(id, doc.ballots)).items()), doc.candidates)
+    return _tally(((tuple(map(reduced.__getitem__, ballots[key].ranks)), n)
+                   for key, n in Counter(map(id, doc.ballots)).items()), doc.candidates)[0]
 
 
 class _WithoutWriteIns(dict):
@@ -252,11 +244,15 @@ class _WithoutWriteIns(dict):
 
 
 def _tally(weighted, roster: tuple[str, ...]) -> tuple[CondensedProfile, int]:
-    """Profile and truncated-ballot count of ``(roster-only grid, ballots)``
-    pairs, a grid possibly in several.  ``classify_ballot`` runs once per
-    distinct grid, in order of first appearance, as the pairs are read."""
+    """Profile and truncated-ballot count of ``(grid, ballots)`` pairs, a grid
+    possibly in several.  Empty ranks are dropped, except from a grid of more ranks
+    than the roster, which ``classify_ballot`` rejects; it runs once per distinct
+    result, in order of first appearance.  With 4 or more candidates a ballot is
+    truncated when it names a third candidate after its second choice."""
     classes, weights = {}, {}  # roster-only grid -> its class, its number of ballots
     for grid, n in weighted:
+        if len(grid) <= len(roster):
+            grid = tuple(filter(None, grid))
         if grid not in classes:
             classes[grid] = classify_ballot(RankedBallot(grid), roster)
         weights[grid] = weights.get(grid, 0) + n
@@ -312,12 +308,8 @@ def parse_condensed(data: bytes) -> CondensedProfile:
             roster.append(name)
         return name
 
-    seen: set[str] = set()
-    bullet: dict[str, int] = {}
-    full: dict[tuple[str, str], int] = {}
-    over2: dict[frozenset[str], int] = {}
-    over3 = 0
-    over3_names: tuple[str, ...] | None = None
+    seen: set = set()
+    rows: dict[str, dict[tuple[str, ...], int]] = {kind: {} for kind in _PATTERNS}
     blank = 0
 
     for line_no, line in enumerate(lines[1:], start=2):
@@ -328,9 +320,11 @@ def parse_condensed(data: bytes) -> CondensedProfile:
         if len(fields) != 2:
             raise ParseError(f"line {line_no}: expected 'pattern,count', got {line!r}")
         token, raw_count = fields
-        # A pattern, not its spelling: over2 names a set, and there is one over3.
-        key = (frozenset(token[len("over2:"):].split("+")) if token.startswith("over2:")
-               else "over3:" if token.startswith("over3:") else token)
+        kind, colon, spelled = token.partition(":")
+        sep, arity = _PATTERNS.get(kind, (None, 0)) if colon else (None, 0)
+        names = spelled.split(sep) if sep else [spelled]
+        # A pattern, not its spelling: over2 names a set, and over3 (arity 0) is one pattern.
+        key = (kind, arity and frozenset(names)) if sep == "+" else token
         if key in seen:
             raise ParseError(f"line {line_no}: duplicate pattern {token!r}")
         seen.add(key)
@@ -338,34 +332,24 @@ def parse_condensed(data: bytes) -> CondensedProfile:
 
         if token == "blank":
             blank = count
-        elif token.startswith("bullet:"):
-            bullet[register(token[len("bullet:"):])] = count
-        elif token.startswith("full:"):
-            parts = token[len("full:"):].split(">")
-            if len(parts) != 2 or parts[0] == parts[1]:
-                raise ParseError(f"line {line_no}: malformed pattern {token!r}")
-            full[(register(parts[0]), register(parts[1]))] = count
-        elif token.startswith("over2:"):
-            parts = token[len("over2:"):].split("+")
-            if len(parts) != 2 or parts[0] == parts[1]:
-                raise ParseError(f"line {line_no}: malformed pattern {token!r}")
-            over2[frozenset(register(p) for p in parts)] = count
-        elif token.startswith("over3:"):
-            parts = token[len("over3:"):].split("+")
-            if len(parts) < 2 or len(set(parts)) != len(parts):
-                raise ParseError(f"line {line_no}: malformed pattern {token!r}")
-            over3 = count
-            over3_names = tuple(register(p) for p in parts)
-        else:
+        elif sep is None:
             raise ParseError(f"line {line_no}: unknown pattern {token!r}")
+        elif len(set(names)) != len(names) or (len(names) != arity if arity else len(names) < 2):
+            raise ParseError(f"line {line_no}: malformed pattern {token!r}")
+        else:
+            rows[kind][tuple(map(register, names))] = count
 
+    over3_names = next(iter(rows["over3"]), None)
     if over3_names is not None and set(over3_names) != set(roster):
         raise ParseError(
             "all-overvote pattern must list the whole roster, got "
             f"{list(over3_names)!r} with roster {roster!r}"
         )
+    bullet = {name: n for (name,), n in rows["bullet"].items()}
+    over2 = {frozenset(pair): n for pair, n in rows["over2"].items()}
     try:
-        return CondensedProfile(tuple(roster), bullet, full, over2, over3, blank)
+        return CondensedProfile(tuple(roster), bullet, rows["full"], over2,
+                                sum(rows["over3"].values()), blank)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -375,11 +359,9 @@ def write_condensed(profile: CondensedProfile) -> bytes:
 
     ``parse_condensed(write_condensed(p)) == p`` for all profiles.
     """
-    for name in profile.candidates:
-        _check_name(name)
     lines = ["pattern,count"]
     for c in profile.candidates:
-        lines.append(f"bullet:{c},{profile.bullet_count(c)}")
+        lines.append(f"bullet:{_check_name(c)},{profile.bullet_count(c)}")
     for first, second in profile.ranking_groups():
         lines.append(f"full:{first}>{second},{profile.full_count(first, second)}")
     for a, b in profile.candidate_pairs():

@@ -1,3 +1,4 @@
+import codecs
 import gc
 import json
 import re
@@ -26,6 +27,13 @@ from .conftest import alaska
 
 def raw_doc(ballots, candidates=("A", "B", "C")):
     return json.dumps({"candidates": list(candidates), "ballots": ballots}).encode()
+
+
+DEEP = b"[" * 100_000
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG_INTEGER = pytest.param(
+    b'{"candidates": ["A", "B"], "ballots": [[[' + b"1" * 5000 + b"]]]}", id="long-integer",
+    marks=pytest.mark.skipif(not 0 < _DIGIT_LIMIT < 5000, reason="no integer digit limit"))
 
 
 class TestParseRaw:
@@ -70,6 +78,33 @@ class TestParseRaw:
         data = ", ".join(f'"{name}": {value}' for name, value in fields.items())
         with pytest.raises(ParseError, match=f"^raw document repeats field '{field}'$"):
             parse_raw(f'{{{data}, "{field}": {fields[field]}}}'.encode())
+
+    @pytest.mark.parametrize("data", [pytest.param(DEEP, id="deep-nesting"), LONG_INTEGER])
+    def test_undecodable_document_is_a_parse_error(self, capsys, tmp_path, data):
+        for read in (parse_raw, ingest_raw):
+            with pytest.raises(ParseError, match="^raw document cannot be read: "):
+                read(data)
+        path = tmp_path / "raw.json"
+        path.write_bytes(data)
+        assert run(["irv", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: raw document cannot be read: ")
+
+    def test_byte_order_mark(self, tmp_path):
+        data = raw_doc([[["A"], ["B"], []], [["C"], ["WRITEIN:x"], ["A"]], [["B", "C"], [], []]])
+        assert parse_raw(codecs.BOM_UTF8 + data) == parse_raw(data)
+        assert ingest_raw(codecs.BOM_UTF8 + data) == ingest_raw(data)
+        for name, body in (("plain", data), ("bom", codecs.BOM_UTF8 + data)):
+            (tmp_path / f"{name}.json").write_bytes(body)
+            assert run(["ingest", str(tmp_path / f"{name}.json"),
+                        "--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_not_utf8(self):
+        message = ("raw document is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+                   "in position 17: invalid start byte")
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_raw(b'{"candidates": ["\xff"], "ballots": []}')
 
     def test_repeated_field_is_a_cli_parse_error(self, capsys, tmp_path):
         path = tmp_path / "raw.json"
@@ -257,6 +292,7 @@ class TestGcPause:
         pytest.param(raw_doc([VALID, [["WRITEIN:w"], ["A"], []]]), None, id="valid"),
         pytest.param(b'{"candidates": [', "syntax error", id="bad-json"),
         pytest.param(raw_doc([VALID, [["A"], ["D"], []]]), "names no roster", id="bad-ballot"),
+        pytest.param(DEEP, "cannot be read", id="deep-nesting"),
     ])
     def test_setting_is_restored(self, gc_before, data, error):
         if error is None:
@@ -281,6 +317,7 @@ class TestGcPause:
         pytest.param(raw_doc([VALID, [["A"], ["D"], []]]), "names no roster", id="bad-ballot"),
         pytest.param(raw_doc([[["A", "B", "C"], [], [], []]], "ABCD"), "top-rank overvote",
                      id="unclassifiable-ballot"),
+        pytest.param(DEEP, "cannot be read", id="deep-nesting"),
     ])
     def test_one_pass_restores_the_setting(self, gc_before, data, error):
         if error is None:
@@ -417,6 +454,71 @@ class TestCondensedFile:
         data = b"pattern,count\nbullet:A,1\nbullet:B,1\nbullet:C,1\nover3:A+B,5\n"
         with pytest.raises(ParseError, match="whole roster"):
             parse_condensed(data)
+
+    @pytest.mark.parametrize(("rows", "message"), [
+        pytest.param(b"pattern,count\nbullet:A,1\n\xff\n", "condensed file is not UTF-8: 'utf-8' "
+                     "codec can't decode byte 0xff in position 25: invalid start byte", id="not-utf8"),
+        pytest.param(b"bullet:A,1\n", "condensed file must start with header 'pattern,count'",
+                     id="missing-header"),
+        pytest.param("bullet:A,1,2", "line 2: expected 'pattern,count', got 'bullet:A,1,2'",
+                     id="three-fields"),
+        pytest.param("bullet:A", "line 2: expected 'pattern,count', got 'bullet:A'",
+                     id="one-field"),
+        pytest.param("bullet:A,1\nbullet:A,2", "line 3: duplicate pattern 'bullet:A'",
+                     id="duplicate"),
+        pytest.param("full:A>B,1\nover2:A+B,5\nover2:B+A,7",
+                     "line 4: duplicate pattern 'over2:B+A'", id="respelled-over2"),
+        pytest.param("over3:A+B,1\nover3:B+A,2", "line 3: duplicate pattern 'over3:B+A'",
+                     id="second-over3"),
+        pytest.param("over2:A+B,1\nover2:B+A+A,2", "line 3: duplicate pattern 'over2:B+A+A'",
+                     id="duplicate-before-malformed"),
+        pytest.param("over3:A+B,1\nover3,0", "line 3: unknown pattern 'over3'",
+                     id="bare-over3-after-over3"),
+        pytest.param("bullet:A,x", "line 2: count 'x' is not an integer", id="count-not-integer"),
+        pytest.param("bullet:A,-4", "line 2: count -4 is negative", id="count-negative"),
+        pytest.param(f"bullet:A,{2**63}", "line 2: count 9223372036854775808 exceeds 64-bit range",
+                     id="count-over-64-bits"),
+        pytest.param("foo:A,x", "line 2: count 'x' is not an integer", id="count-before-unknown"),
+        pytest.param("blank:,1", "line 2: unknown pattern 'blank:'", id="blank-colon"),
+        pytest.param("bullet,1", "line 2: unknown pattern 'bullet'", id="bullet-no-colon"),
+        pytest.param("foo:,1", "line 2: unknown pattern 'foo:'", id="foo-colon"),
+        pytest.param("full:A,1", "line 2: malformed pattern 'full:A'", id="full-one-name"),
+        pytest.param("full:A>B>C,1", "line 2: malformed pattern 'full:A>B>C'",
+                     id="full-three-names"),
+        pytest.param("full:A>A,1", "line 2: malformed pattern 'full:A>A'", id="full-repeat"),
+        pytest.param("over2:A,1", "line 2: malformed pattern 'over2:A'", id="over2-one-name"),
+        pytest.param("over2:A+B+C,1", "line 2: malformed pattern 'over2:A+B+C'",
+                     id="over2-three-names"),
+        pytest.param("over2:A+A,1", "line 2: malformed pattern 'over2:A+A'", id="over2-repeat"),
+        pytest.param("over3:A,1", "line 2: malformed pattern 'over3:A'", id="over3-one-name"),
+        pytest.param("over3:A+B+A,1", "line 2: malformed pattern 'over3:A+B+A'",
+                     id="over3-repeat"),
+        pytest.param("bullet:A>B,1", "candidate name 'A>B' contains reserved character '>'",
+                     id="reserved-in-bullet"),
+        pytest.param("full:A>B+C,1", "candidate name 'B+C' contains reserved character '+'",
+                     id="reserved-in-full"),
+        pytest.param("bullet:,1", "pattern names an empty candidate", id="empty-name"),
+        pytest.param("bullet: ,1", "pattern names an empty candidate", id="blank-name"),
+        pytest.param("full:A>,1", "pattern names an empty candidate", id="empty-second-name"),
+        pytest.param("bullet:C,1\nover3:A+B,5",
+                     "all-overvote pattern must list the whole roster, got ['A', 'B'] "
+                     "with roster ['C', 'A', 'B']", id="over3-not-whole-roster"),
+        pytest.param("bullet:A,1\nbullet: A,2", "candidate names must be distinct: ['A', 'A']",
+                     id="names-clash-after-trimming"),
+    ])
+    def test_error_message(self, rows, message):
+        """``rows`` follow the header, or are the whole file when given as bytes."""
+        data = rows if isinstance(rows, bytes) else f"pattern,count\n{rows}\n".encode()
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_condensed(data)
+
+    def test_line_break_in_a_name_is_refused(self, capsys, tmp_path):
+        path, out = tmp_path / "raw.json", tmp_path / "profile.csv"
+        path.write_bytes(raw_doc([[["C"], ["D"], []]], candidates=("A\nB", "C", "D")))
+        assert run(["ingest", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: candidate name 'A\\nB' contains reserved character '\\n'\n")
+        assert not out.exists()
 
     def test_round_trip_alaska(self, alaska_profile):
         assert parse_condensed(write_condensed(alaska_profile)) == alaska_profile

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ballotlab import (
     INCLUDE_TIES,
     RANKED_ONLY,
+    WRITE_IN_PREFIX,
     ApprovalScenario,
     CondensedProfile,
     DecisiveTieError,
@@ -52,7 +53,7 @@ from .oracles import (
     scaled,
     truncated_ballots,
 )
-from ballotlab.ingest import ingest_counting_truncated, ingest_raw
+from ballotlab.ingest import ingest_raw
 
 ABC = ("A", "B", "C")
 GROUPS = tuple((a, b) for a in ABC for b in ABC if a != b)
@@ -107,10 +108,14 @@ names = st.text(
     min_size=1,
     max_size=8,
 )
+# Trimmed names of any characters a UTF-8 file can hold but the reserved ones.
+any_names = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",>+\n"),
+                    min_size=1, max_size=8).map(str.strip).filter(
+                        lambda name: name and not name.startswith(WRITE_IN_PREFIX))
 
 
 @st.composite
-def named_profiles(draw):
+def named_profiles(draw, names=names):
     roster = tuple(draw(st.lists(names, min_size=2, max_size=4, unique=True)))
     bullet = {c: draw(counts) for c in roster}
     full = {(a, b): draw(counts) for a in roster for b in roster if a != b}
@@ -184,14 +189,14 @@ class TestRawIngest:
     def test_one_pass_matches_parse_then_ingest(self, doc):
         data = json.dumps(doc).encode()
         one_pass = _outcome(lambda: ingest_raw(data))
-        assert one_pass == _outcome(lambda: ingest_counting_truncated(parse_raw(data)))
+        two_pass = _outcome(lambda: ingest(parse_raw(data)))
         # The two paths share their checks; the per-ballot reading shares none of them.
         if isinstance(one_pass[0], CondensedProfile):
-            assert one_pass[0] == per_ballot_ingest(doc)
+            assert one_pass[0] == two_pass == per_ballot_ingest(doc)
             ballots = [RankedBallot.from_marks(b) for b in doc["ballots"]]
             assert one_pass[1] == truncated_ballots(ballots, tuple(doc["candidates"]))
         else:
-            assert one_pass == _outcome(lambda: per_ballot_ingest(doc))
+            assert one_pass == two_pass == _outcome(lambda: per_ballot_ingest(doc))
 
 
 @st.composite
@@ -228,13 +233,16 @@ class TestHandBuiltIngest:
 
     @given(st.one_of(hand_built_documents(), hand_built_documents(deep=True)))
     def test_truncated_count_matches_per_ballot_reading(self, doc):
-        outcome = _result(lambda: ingest_counting_truncated(doc))
+        assume(not any("Z" in marks for ballot in doc.ballots for marks in ballot.ranks))
+        data = json.dumps({"candidates": doc.candidates,
+                           "ballots": [list(map(sorted, b.ranks)) for b in doc.ballots]})
+        outcome = _result(lambda: ingest_raw(data.encode()))
         if isinstance(outcome[0], CondensedProfile):
             assert outcome[1] == truncated_ballots(doc.ballots, doc.candidates)
 
 
 class TestCondensedRoundTrips:
-    @given(named_profiles())
+    @given(st.one_of(named_profiles(), named_profiles(any_names)))
     def test_file_round_trip_identity(self, profile):
         assert parse_condensed(write_condensed(profile)) == profile
 
