@@ -14,7 +14,6 @@ happens only at display time.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from fractions import Fraction
 from math import lcm
 
@@ -160,6 +159,15 @@ def score_lines(profile: CondensedProfile, first_weight: int) -> tuple[dict[str,
     return {c: first_weight * n for c, n in first.items()}, profile.second_place_totals()
 
 
+def check_pair(profile: CondensedProfile, a: str, b: str, roles: str) -> None:
+    """Refuse one candidate named twice, or one off the roster; ``roles`` names the pair."""
+    if a == b:
+        raise ValueError(f"{roles} must differ")
+    for c in (a, b):
+        if c not in profile.candidates:
+            raise ValueError(f"{c!r} is not on the roster")
+
+
 def score_range(profile: CondensedProfile, scale: Scale) -> tuple[dict[str, int], dict[str, int]]:
     """Each candidate's score with every second choice at the scale's floor, and at its cap."""
     _require_roster(profile)
@@ -205,11 +213,7 @@ def uniform_threshold(profile: CondensedProfile, riser: str, leader: str) -> Fra
     exactly: ``p* = (base_leader - base_riser) / (slope_riser -
     slope_leader)``.  Returns ``None`` when no rate in [0, 1] suffices.
     """
-    if riser == leader:
-        raise ValueError("riser and leader must differ")
-    for c in (riser, leader):
-        if c not in profile.candidates:
-            raise ValueError(f"{c!r} is not on the roster")
+    check_pair(profile, riser, leader, "riser and leader")
     base, slope = score_lines(profile, APPROVAL.first_weight)
     gap = base[leader] - base[riser]
     if gap <= 0:
@@ -260,31 +264,17 @@ def sweep(profile: CondensedProfile, scale: Scale, grid_step, start, end,
           winners) -> list[tuple[Fraction, tuple[str, ...]]]:
     """``(t, winners(scores))`` at every uniform value ``t`` of a grid on ``scale``.
 
-    Closed form: at ``t = n/d`` each candidate scores ``base + slope * t``
-    (see :func:`score_lines`), and ``scores`` holds the integers ``base *
-    d + slope * n`` (see :func:`grid_scores`), which have the same order
-    and ties.  The lines are computed once per call, whatever the grid size.
+    Closed form: each grid point is ``t = n/d`` over one denominator ``d =
+    lcm(start.denominator, step.denominator)``, and ``scores`` holds the
+    integers ``base * d + slope * n`` (see :func:`score_lines`): ``d`` times
+    the scores at ``t``, so the same order and ties.  The lines and ``base *
+    d`` are computed once per call, whatever the grid size.
     """
     _require_roster(profile)
     step, start, end = scale.grid(grid_step, start, end)
     base, slope = score_lines(profile, scale.first_weight)
-    return [(Fraction(n, d), winners(scores))
-            for n, d, scores in grid_scores(base, slope, start, end, step)]
-
-
-def grid_scores(base: dict[str, int], slope: dict[str, int], start: Fraction, end: Fraction,
-                step: Fraction) -> Iterator[tuple[int, int, dict[str, int]]]:
-    """Yield ``(n, d, scores)`` per grid point ``t = n/d`` from ``start`` to ``end``.
-
-    Every point shares the denominator ``d = lcm(start.denominator,
-    step.denominator)``, so stepping ``n`` is integer addition, and
-    ``scores[c] = base[c] * d + slope[c] * n`` is ``d`` times the score
-    at ``t``: the same order and the same ties.
-    """
     d = lcm(start.denominator, step.denominator)
-    n = start.numerator * (d // start.denominator)
-    n_step = step.numerator * (d // step.denominator)
-    scaled_base = {c: b * d for c, b in base.items()}
-    for _ in range((end - start) // step + 1):
-        yield n, d, {c: b + slope[c] * n for c, b in scaled_base.items()}
-        n += n_step
+    base = {c: b * d for c, b in base.items()}
+    first, n_step = int(start * d), int(step * d)
+    return [(Fraction(n, d), winners({c: b + slope[c] * n for c, b in base.items()}))
+            for n in range(first, first + n_step * ((end - start) // step + 1), n_step)]

@@ -32,14 +32,13 @@ from . import __version__, approval, condorcet, irv, star
 from .core import CondensedProfile
 from .errors import (
     DecisiveTieError,
-    MalformedBallotError,
     NoValidBallotsError,
     ParseError,
     TruncatedRankingsError,
     UnattainableError,
 )
 from .ingest import ingest_raw, parse_condensed, write_condensed
-from .rational import decimal_string, exact_rational, fraction_token
+from .rational import decimal_string, exact_rational, fraction_token, percent_string
 from .report import (
     FORMATS,
     TABLE,
@@ -79,7 +78,7 @@ def run(argv: Sequence[str]) -> int:
             TruncatedRankingsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, MalformedBallotError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError and MalformedBallotError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
@@ -190,9 +189,7 @@ def _irv(args: argparse.Namespace, profile: CondensedProfile) -> Report:
         ),
     )
     for rnd, share in zip(outcome.rounds, shares):
-        for c in profile.candidates:
-            if c not in rnd.tallies:
-                continue
+        for c, votes in rnd.tallies.items():
             if rnd.eliminated == c:
                 status = "eliminated"
             elif rnd.eliminated is None and c == outcome.winner:
@@ -200,16 +197,14 @@ def _irv(args: argparse.Namespace, profile: CondensedProfile) -> Report:
             else:
                 status = "continuing"
             report.add(
-                rnd.round_index, c, rnd.tallies[c],
+                rnd.round_index, c, votes,
                 share.of_active[c], share.of_round1[c],
                 rnd.transfers.get(c, 0), rnd.exhausted_this_round,
                 rnd.active_ballots, status,
             )
-    final = outcome.rounds[-1]
     report.notes.append(
-        f"winner: {outcome.winner} with "
-        f"{decimal_string(Fraction(final.tallies[outcome.winner] * 100, final.active_ballots), 2)}% "
-        f"of round-{final.round_index} active ballots"
+        f"winner: {outcome.winner} with {percent_string(shares[-1].of_active[outcome.winner])} "
+        f"of round-{outcome.rounds[-1].round_index} active ballots"
     )
     report.notes.append(f"invalid overvote ballots excluded: {outcome.invalid_overvotes}")
     return report
@@ -250,9 +245,8 @@ def _condorcet(args: argparse.Namespace, profile: CondensedProfile) -> Report:
     return _items("Condorcet analysis (ranked-only)", [
         ("condorcet_winner", result.winner or "(none)"),
         ("condorcet_loser", result.loser or "(none)"),
-        *((f"share {x} vs {y}", Cell(result.margins[(x, y)], "percent"))
-          for a, b in profile.candidate_pairs() for x, y in ((a, b), (b, a))
-          if (x, y) in result.margins),
+        *((f"share {x} vs {y}", Cell(share, "percent"))
+          for (x, y), share in result.margins.items()),
     ])
 
 

@@ -33,7 +33,7 @@ def is_write_in(mark: str) -> bool:
 
 
 def validate_roster(candidates: Sequence[str]) -> tuple[str, ...]:
-    """Normalize a candidate roster: trim names, require them distinct.
+    """Normalize a candidate roster: trim names, require them valid Unicode text and distinct.
 
     Roster order is preserved; it determines output ordering everywhere
     but never breaks a tie unless a rule explicitly says so.
@@ -43,6 +43,8 @@ def validate_roster(candidates: Sequence[str]) -> tuple[str, ...]:
         name = name.strip()
         if not name:
             raise ValueError("candidate names must be non-empty")
+        if not name.isascii() and any("\ud800" <= ch <= "\udfff" for ch in name):
+            raise ValueError(f"candidate name {name!r} is not valid Unicode text")
         if is_write_in(name):
             raise ValueError(
                 f"candidate name must not carry the {WRITE_IN_PREFIX!r} prefix: {name!r}"

@@ -12,7 +12,8 @@ Two formats are supported:
   read through one table, ``_PATTERNS``: ``bullet:<C>``,
   ``full:<C1>><C2>``, ``over2:<C1>+<C2>`` and ``over3:<C1>+...+<Cn>``
   (the whole roster).  Missing patterns read as zero.  Candidate names
-  must not contain ``,``, ``>``, ``+`` or a newline.
+  must not contain ``,``, ``>``, ``+`` or a line break: LF, CR, VT, FF,
+  FS, GS, RS, NEL, LS or PS, each character ``str.splitlines`` splits at.
 
 The command line's one pass (:func:`ingest_raw`) and the library's
 :func:`parse_raw` then :func:`ingest` run the same checks and end in one
@@ -41,7 +42,8 @@ from .errors import ParseError
 
 MAX_COUNT = 2**63 - 1  # counts must fit a 64-bit signed integer
 
-_RESERVED = (",", ">", "+", "\n")
+# The pattern separators, then every character at which ``str.splitlines`` breaks a line.
+_RESERVED = (",", ">", "+", *"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 
 # kind -> (name separator, number of names; 0: two or more distinct names)
 _PATTERNS = {"bullet": ("", 1), "full": (">", 2), "over2": ("+", 2), "over3": ("+", 0)}

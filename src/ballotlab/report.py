@@ -82,9 +82,9 @@ def _display(value: Value, kind: str) -> str:
     if isinstance(value, str):
         return value
     if kind == "percent":
-        return percent_string(Fraction(value))
+        return percent_string(value)
     if kind.startswith("decimal"):
-        return decimal_string(Fraction(value), int(kind[len("decimal"):]))
+        return decimal_string(value, int(kind[len("decimal"):]))
     return fraction_token(value)
 
 
@@ -94,6 +94,11 @@ def _machine(value: Value) -> int | str:
     if isinstance(value, Fraction) and value.denominator != 1:
         return fraction_token(value)
     return int(value)
+
+
+def _machine_rows(report: Report) -> list[list[int | str]]:
+    return [[_machine(_cell_parts(cell, col)[0]) for cell, col in zip(row, report.columns)]
+            for row in report.rows]
 
 
 def emit_table(report: Report, fmt: str = TABLE) -> bytes:
@@ -136,20 +141,14 @@ def _emit_csv(report: Report) -> bytes:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([col.name for col in report.columns])
-    for row in report.rows:
-        writer.writerow([_machine(_cell_parts(cell, col)[0])
-                         for cell, col in zip(row, report.columns)])
+    writer.writerows(_machine_rows(report))
     return out.getvalue().encode("utf-8")
 
 
 def _emit_json_lines(report: Report) -> bytes:
-    lines = []
-    for row in report.rows:
-        record = {
-            col.name: _machine(_cell_parts(cell, col)[0])
-            for cell, col in zip(row, report.columns)
-        }
-        lines.append(json.dumps(record, separators=(",", ":"), ensure_ascii=False))
+    names = [col.name for col in report.columns]
+    lines = [json.dumps(dict(zip(names, row)), separators=(",", ":"), ensure_ascii=False)
+             for row in _machine_rows(report)]
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
 
 
@@ -163,13 +162,10 @@ def emit_range_plot_data(minimum: dict[str, int], profile, *, star: bool = False
     floor to the 4-star cap); for approval it spans 1 extra vote.
     """
     span = 3 if star else 1
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["candidate", "segment", "source", "value"])
+    report = Report("", tuple(map(Column, ("candidate", "segment", "source", "value"))))
     for c in profile.candidates:
-        writer.writerow([c, "base", "", minimum[c]])
+        report.add(c, "base", "", minimum[c])
         for rival in profile.candidates:
-            if rival == c:
-                continue
-            writer.writerow([c, "potential", rival, span * profile.full_count(rival, c)])
-    return out.getvalue().encode("utf-8")
+            if rival != c:
+                report.add(c, "potential", rival, span * profile.full_count(rival, c))
+    return _emit_csv(report)

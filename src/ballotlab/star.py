@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .approval import Group, Scale, Scenario, score_lines, score_range, sweep
+from .approval import Group, Scale, Scenario, check_pair, score_lines, score_range, sweep
 from .core import CondensedProfile, Record
 from .errors import DecisiveTieError, UnattainableError
 
@@ -153,11 +153,7 @@ def uniform_star_threshold(profile: CondensedProfile, guaranteed: str, rival: st
     [100, 400] with ``h * slope > 100 * (rival_max - base)``.  Raises
     :class:`UnattainableError` when even 4 stars fall short.
     """
-    if guaranteed == rival:
-        raise ValueError("guaranteed and rival must differ")
-    for c in (guaranteed, rival):
-        if c not in profile.candidates:
-            raise ValueError(f"{c!r} is not on the roster")
+    check_pair(profile, guaranteed, rival, "guaranteed and rival")
     base, slope = score_lines(profile, STAR.first_weight)
     rival_max = base[rival] + STAR.high * slope[rival]
 

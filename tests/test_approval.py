@@ -133,6 +133,15 @@ class TestUniformThreshold:
         with pytest.raises(ValueError):
             uniform_threshold(alaska_profile, "Begich", "Begich")
 
+    @pytest.mark.parametrize("riser, leader, message", [
+        ("Begich", "Begich", "riser and leader must differ"),
+        ("Nobody", "Peltola", "'Nobody' is not on the roster"),
+        ("Begich", "Nobody", "'Nobody' is not on the roster"),
+    ])
+    def test_pair_check_messages(self, alaska_profile, riser, leader, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            uniform_threshold(alaska_profile, riser, leader)
+
     def test_threshold_separates_the_orders(self, alaska_profile):
         p_star = uniform_threshold(alaska_profile, "Begich", "Peltola")
         below = evaluate_approval(

@@ -134,6 +134,22 @@ class TestDispatchAndErrors:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["approval", "threshold", "--riser", "Begich", "--leader", "Begich"],
+         "riser and leader must differ"),
+        (["approval", "threshold", "--riser", "Nobody", "--leader", "Peltola"],
+         "'Nobody' is not on the roster"),
+        (["star", "threshold", "--guaranteed", "Begich", "--rival", "Begich"],
+         "guaranteed and rival must differ"),
+        (["star", "threshold", "--guaranteed", "Begich", "--rival", "Nobody"],
+         "'Nobody' is not on the roster"),
+    ])
+    def test_threshold_pair_is_checked(self, capsys, fixture, argv, message):
+        code, out, err = invoke(capsys, *argv[:2], fixture, *argv[2:])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 def alaska_csv_bytes() -> bytes:
     from ballotlab import write_condensed
@@ -442,6 +458,60 @@ class TestCommandOutputs:
         code, star_out, _ = invoke(capsys, "star", "range", fixture, "--plot-data")
         assert code == 0
         assert "Begich,potential,Peltola,142287" in star_out
+
+
+class TestBeyondThreeCandidates:
+    """Exact rows on 4-candidate rosters, where the fixture's digests do not reach."""
+
+    def profile(self, tmp_path, rows: str) -> str:
+        path = tmp_path / "four.csv"
+        path.write_text("pattern,count\n" + rows)
+        return str(path)
+
+    def test_irv_rounds_after_an_early_elimination(self, capsys, tmp_path):
+        # D falls in round 1 and B in round 2; B's bullets exhaust in round 3.
+        path = self.profile(tmp_path, "bullet:A,10\nbullet:B,4\nfull:B>C,2\nfull:C>B,5\n"
+                                      "full:D>C,2\nfull:D>A,1\nover2:A+B,1\n")
+        code, out, _ = invoke(capsys, "irv", path, "--format", "csv")
+        assert code == 0
+        assert out == (
+            "round,candidate,votes,share_active,share_round1,transfers_in,"
+            "exhausted_this_round,active_ballots,status\n"
+            "1,A,10,5/12,5/12,0,0,24,continuing\n"
+            "1,B,6,1/4,1/4,0,0,24,continuing\n"
+            "1,C,5,5/24,5/24,0,0,24,continuing\n"
+            "1,D,3,1/8,1/8,0,0,24,eliminated\n"
+            "2,A,11,11/24,11/24,1,0,24,continuing\n"
+            "2,B,6,1/4,1/4,0,0,24,eliminated\n"
+            "2,C,7,7/24,7/24,2,0,24,continuing\n"
+            "3,A,11,11/20,11/24,0,4,20,winner\n"
+            "3,C,9,9/20,3/8,2,4,20,continuing\n"
+        )
+        code, out, _ = invoke(capsys, "irv", path)
+        assert code == 0
+        assert "\nwinner: A with 55.00% of round-3 active ballots\n" in out
+
+    def test_condorcet_leaves_out_a_pair_without_a_two_way_vote(self, capsys, tmp_path):
+        # C and D appear only together in one two-way top overvote.
+        path = self.profile(tmp_path, "bullet:A,5\nbullet:B,3\nfull:A>B,2\nfull:B>A,3\n"
+                                      "over2:C+D,1\n")
+        code, out, _ = invoke(capsys, "condorcet", path, "--format", "csv")
+        assert code == 0
+        assert out == (
+            "item,value\n"
+            "condorcet_winner,A\n"
+            "condorcet_loser,(none)\n"
+            "share A vs B,7/13\n"
+            "share B vs A,6/13\n"
+            "share A vs C,1\n"
+            "share C vs A,0\n"
+            "share A vs D,1\n"
+            "share D vs A,0\n"
+            "share B vs C,1\n"
+            "share C vs B,0\n"
+            "share B vs D,1\n"
+            "share D vs B,0\n"
+        )
 
 
 class TestDeterminism:

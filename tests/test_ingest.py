@@ -520,11 +520,55 @@ class TestCondensedFile:
             "", "error: candidate name 'A\\nB' contains reserved character '\\n'\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("ch", "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
+                             ids=lambda ch: f"U+{ord(ch):04X}")
+    def test_every_line_break_in_a_name_is_refused(self, capsys, tmp_path, ch):
+        # Each one splits a line for str.splitlines and text-mode open().
+        message = f"candidate name {'A' + ch + 'B'!r} contains reserved character {ch!r}"
+        path, out = tmp_path / "raw.json", tmp_path / "profile.csv"
+        path.write_bytes(raw_doc([[["C"], ["D"], []]], candidates=(f"A{ch}B", "C", "D")))
+        assert run(["ingest", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_condensed(f"pattern,count\nbullet:A{ch}B,2\nbullet:C,1\n".encode())
+
     def test_round_trip_alaska(self, alaska_profile):
         assert parse_condensed(write_condensed(alaska_profile)) == alaska_profile
 
     def test_write_is_deterministic(self, alaska_profile):
         assert write_condensed(alaska_profile) == write_condensed(alaska())
+
+
+class TestLoneSurrogateNames:
+    """A JSON escape can spell a lone surrogate, which no UTF-8 output can carry."""
+
+    DOC = b'{"candidates": ["A\\ud800", "B", "C"], "ballots": [[["A\\ud800"], ["B"], []]]}'
+    MESSAGE = "candidate name 'A\\ud800' is not valid Unicode text"
+
+    @pytest.mark.parametrize("command, flags", [
+        ("irv", []), ("irv", ["--format", "csv"]), ("pairwise", ["--format", "json-lines"]),
+    ])
+    def test_commands_refuse_the_document(self, capsys, tmp_path, command, flags):
+        path = tmp_path / "raw.json"
+        path.write_bytes(self.DOC)
+        assert run([command, str(path), *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {self.MESSAGE}\n")
+
+    def test_ingest_writes_no_file(self, capsys, tmp_path):
+        path, out = tmp_path / "raw.json", tmp_path / "profile.csv"
+        path.write_bytes(self.DOC)
+        assert run(["ingest", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {self.MESSAGE}\n")
+        assert not out.exists()
+
+    def test_parse_raw_raises_parse_error(self):
+        with pytest.raises(ParseError, match=f"^{re.escape(self.MESSAGE)}$"):
+            parse_raw(self.DOC)
+
+    def test_profile_raises_value_error(self):
+        with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE)}$"):
+            CondensedProfile(("A\ud800", "B", "C"), {}, {}, {})
 
 
 class TestShippedFixture:

@@ -53,7 +53,7 @@ from .oracles import (
     scaled,
     truncated_ballots,
 )
-from ballotlab.ingest import ingest_raw
+from ballotlab.ingest import _RESERVED, ingest_raw
 
 ABC = ("A", "B", "C")
 GROUPS = tuple((a, b) for a in ABC for b in ABC if a != b)
@@ -109,7 +109,8 @@ names = st.text(
     max_size=8,
 )
 # Trimmed names of any characters a UTF-8 file can hold but the reserved ones.
-any_names = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",>+\n"),
+any_names = st.text(st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="".join(_RESERVED)),
                     min_size=1, max_size=8).map(str.strip).filter(
                         lambda name: name and not name.startswith(WRITE_IN_PREFIX))
 

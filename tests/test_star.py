@@ -161,6 +161,15 @@ class TestThreshold:
         with pytest.raises(UnattainableError):
             uniform_star_threshold(alaska_profile, "Palin", "Begich")
 
+    @pytest.mark.parametrize("guaranteed, rival, message", [
+        ("Begich", "Begich", "guaranteed and rival must differ"),
+        ("Nobody", "Palin", "'Nobody' is not on the roster"),
+        ("Begich", "Nobody", "'Nobody' is not on the roster"),
+    ])
+    def test_pair_check_messages(self, alaska_profile, guaranteed, rival, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            uniform_star_threshold(alaska_profile, guaranteed, rival)
+
 
 class TestSweep:
     def test_alaska_endpoints(self, alaska_profile):
