@@ -253,8 +253,8 @@ def min_second_votes_to_clinch(profile: CondensedProfile, candidate: str, from_g
     return needed
 
 
-def sweep_uniform(profile: CondensedProfile, grid_step, *, start=0,
-                  end=1) -> list[tuple[Fraction, tuple[str, ...]]]:
+def sweep_uniform(profile: CondensedProfile, grid_step, *, start=APPROVAL.low,
+                  end=APPROVAL.high) -> list[tuple[Fraction, tuple[str, ...]]]:
     """Winners at every uniform rate ``start, start+step, ...`` up to ``end``; see :func:`sweep`."""
     return sweep(profile, APPROVAL, grid_step, start, end,
                  lambda scores: _winners(scores, profile.candidates))

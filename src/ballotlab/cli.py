@@ -231,8 +231,8 @@ def _pairwise(args: argparse.Namespace, profile: CondensedProfile) -> Report:
         report.add(
             a, b, tally.prefers[(a, b)], tally.prefers[(b, a)],
             tally.no_preference[frozenset((a, b))],
-            Cell("", "text") if share_a is None else share_a,
-            Cell("", "text") if share_b is None else share_b,
+            "" if share_a is None else share_a,
+            "" if share_b is None else share_b,
         )
     report.notes.append(f"ballots in basis: {tally.total}")
     return report

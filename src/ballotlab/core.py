@@ -123,10 +123,6 @@ class RankedBallot(Record):
     def __init__(self, ranks: tuple[frozenset[str], ...]) -> None:
         _set(self, "ranks", ranks)
 
-    @classmethod
-    def from_marks(cls, ranks: Iterable[Iterable[str]]) -> "RankedBallot":
-        return cls(tuple(frozenset(marks) for marks in ranks))
-
 
 class Bullet(Record):
     """Ballot supporting a single candidate, no further preference."""
@@ -245,8 +241,8 @@ class CondensedProfile(Record):
     Zero counts are dropped on construction, so profiles compare equal
     regardless of whether absent patterns were spelled out.  All counts
     must be nonnegative and refer only to roster candidates.  Tabulations
-    read rankings through :meth:`rankings`; in IRV each counts for its best
-    continuing candidate, so a ballot moves only when that one is eliminated.
+    read rankings through :meth:`rankings`, and count each one for its
+    highest-ranked candidate among those in play through :meth:`top_choices`.
     """
 
     candidates: tuple[str, ...]
@@ -281,10 +277,6 @@ class CondensedProfile(Record):
         object.__setattr__(self, "bullet", {c: n for c, n in self.bullet.items() if n})
         object.__setattr__(self, "full", {g: n for g, n in self.full.items() if n})
         object.__setattr__(self, "over2", {p: n for p, n in self.over2.items() if n})
-
-    @classmethod
-    def zero(cls, candidates: Sequence[str]) -> "CondensedProfile":
-        return cls(tuple(candidates), {}, {}, {})
 
     # -- totals ---------------------------------------------------------
 
@@ -343,9 +335,7 @@ class CondensedProfile(Record):
         vote to each of its pair members.  All-way overvotes never
         contribute; they express no preference.
         """
-        totals = dict.fromkeys(self.candidates, 0)
-        for prefs, n in self.rankings():
-            totals[prefs[0]] += n
+        totals = self.top_choices(self.candidates)
         if include_top_ties:
             for pair, n in self.over2.items():
                 for c in pair:
@@ -360,20 +350,28 @@ class CondensedProfile(Record):
                 totals[prefs[1]] += n
         return totals
 
+    def top_choices(self, among: Sequence[str]) -> dict[str, int]:
+        """Per candidate of ``among``, in its order, the rankings placing them above the rest of it.
+
+        A ranking naming none of ``among`` counts for no one; overvotes never count.
+        """
+        counts = dict.fromkeys(among, 0)
+        for prefs, n in self.rankings():
+            for c in prefs:
+                if c in counts:
+                    counts[c] += n
+                    break
+        return counts
+
     def head_to_head(self, a: str, b: str, include_ties: bool = False) -> tuple[int, int]:
         """Ballots ranking ``a`` above ``b``, and ``b`` above ``a``.
 
-        A ranked candidate is above every unranked one.  With
+        The rankings are the pair's :meth:`top_choices`.  With
         ``include_ties`` a two-way top overvote ranks its pair above
         everyone else and neither member above the other; all-way
         overvotes never rank anyone above anyone.
         """
-        votes = {a: 0, b: 0}
-        for prefs, n in self.rankings():
-            for c in prefs:
-                if c in votes:
-                    votes[c] += n
-                    break
+        votes = self.top_choices((a, b))
         if include_ties:
             for pair, n in self.over2.items():
                 if (a in pair) != (b in pair):

@@ -306,6 +306,8 @@ def parse_condensed(data: bytes) -> CondensedProfile:
         _check_name(name)
         if not name.strip():
             raise ParseError("pattern names an empty candidate")
+        if name != name.strip():
+            raise ParseError(f"candidate name {name!r} has leading or trailing whitespace")
         if name not in roster:
             roster.append(name)
         return name

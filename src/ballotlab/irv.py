@@ -55,28 +55,23 @@ class RoundShares(Record):
 def tabulate_irv(profile: CondensedProfile, *, break_ties_by_roster: bool = False) -> IrvOutcome:
     """Run instant-runoff counting to a strict-majority winner.
 
-    Each round counts :meth:`CondensedProfile.rankings` once.  A ballot
-    moves only when its current choice is eliminated, so a tally's rise
-    is a transfer and a drop in active ballots is exhaustion.  An exact
-    tie for the lowest tally is a :class:`DecisiveTieError` unless
-    ``break_ties_by_roster`` is set, in which case the tied candidate
-    latest in roster order is eliminated (useful for deterministic bulk
-    runs, never for reporting a real contest).  A profile without a valid
-    ranked ballot is a :class:`NoValidBallotsError`.
+    Each round's tallies are the continuing candidates'
+    :meth:`CondensedProfile.top_choices`, so a ballot moves only when its
+    choice is eliminated: a tally's rise is a transfer and a drop in
+    active ballots is exhaustion.  An exact tie for the lowest tally is a
+    :class:`DecisiveTieError` unless ``break_ties_by_roster`` is set, in
+    which case the tied candidate latest in roster order is eliminated
+    (useful for deterministic bulk runs, never for reporting a real
+    contest).  A profile without a valid ranked ballot is a
+    :class:`NoValidBallotsError`.
     """
-    groups = profile.rankings()
-    if not groups:
+    if not profile.rankings():
         raise NoValidBallotsError("no valid ranked ballots to tabulate")
 
     continuing = profile.candidates
     rounds: list[IrvRound] = []
     while True:
-        tallies = dict.fromkeys(continuing, 0)
-        for prefs, n in groups:
-            for choice in prefs:
-                if choice in tallies:
-                    tallies[choice] += n
-                    break
+        tallies = profile.top_choices(continuing)
         active = sum(tallies.values())
         if active == 0:
             raise DecisiveTieError("every remaining ballot is exhausted")

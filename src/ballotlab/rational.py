@@ -33,9 +33,8 @@ def bounded_rational(value, lo: Fraction, hi: Fraction, what: str) -> Fraction:
     return value
 
 
-def decimal_string(value: Fraction, places: int) -> str:
+def decimal_string(value: Fraction | int, places: int) -> str:
     """Exact fixed-point rendering, round-half-up on the magnitude."""
-    value = Fraction(value)
     sign = "-" if value < 0 else ""
     scaled = abs(value) * 10**places
     units, remainder = divmod(scaled.numerator, scaled.denominator)
@@ -47,14 +46,11 @@ def decimal_string(value: Fraction, places: int) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-def percent_string(share: Fraction, places: int = 2) -> str:
+def percent_string(share: Fraction | int, places: int = 2) -> str:
     """A proportion rendered as a percentage, e.g. ``51.46%``."""
-    return decimal_string(Fraction(share) * 100, places) + "%"
+    return decimal_string(share * 100, places) + "%"
 
 
 def fraction_token(value: Fraction | int) -> str:
     """Machine rendering: plain integer, or ``numerator/denominator``."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(value)

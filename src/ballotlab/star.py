@@ -149,9 +149,9 @@ def uniform_star_threshold(profile: CondensedProfile, guaranteed: str, rival: st
     The least rating at which ``guaranteed``'s score -- with all groups
     ranking them second at that rating -- strictly exceeds the best score
     ``rival`` could possibly reach.  Closed form: with ``guaranteed``'s
-    line ``base + slope * s``, the answer is the least hundredth ``h`` in
-    [100, 400] with ``h * slope > 100 * (rival_max - base)``.  Raises
-    :class:`UnattainableError` when even 4 stars fall short.
+    line ``base + slope * s``, the answer is the least hundredth ``h`` of
+    the scale's band with ``h * slope > 100 * (rival_max - base)``.  Raises
+    :class:`UnattainableError` when even the band's top falls short.
     """
     check_pair(profile, guaranteed, rival, "guaranteed and rival")
     base, slope = score_lines(profile, STAR.first_weight)
@@ -159,19 +159,19 @@ def uniform_star_threshold(profile: CondensedProfile, guaranteed: str, rival: st
 
     shortfall = 100 * (rival_max - base[guaranteed])
     gain = slope[guaranteed]
-    if 400 * gain <= shortfall:
+    if 100 * STAR.high * gain <= shortfall:
         raise UnattainableError(
             f"{guaranteed} cannot exceed {rival}'s maximum score {rival_max} even at "
-            "4 stars from every second-choice voter",
+            f"{STAR.high} stars from every second-choice voter",
             required=None,
         )
-    hundredths = max(100, shortfall // gain + 1) if gain else 100
+    hundredths = max(100 * STAR.low, shortfall // gain + 1 if gain else 0)
     s = Fraction(hundredths, 100)
     return StarThreshold(stars=s, achieved_score=base[guaranteed] + s * gain, rival_maximum=rival_max)
 
 
-def sweep_star(profile: CondensedProfile, grid_step, *, start=1,
-               end=4) -> list[tuple[Fraction, tuple[str, ...]]]:
+def sweep_star(profile: CondensedProfile, grid_step, *, start=STAR.low,
+               end=STAR.high) -> list[tuple[Fraction, tuple[str, ...]]]:
     """Winners at every uniform rating ``start, start+step, ...`` up to ``end``.
 
     See :func:`ballotlab.approval.sweep`; the runoff table, which no

@@ -30,6 +30,16 @@ from ballotlab import (
 from ballotlab.core import is_write_in, validate_roster
 
 
+def zero_profile(candidates) -> CondensedProfile:
+    """A profile over ``candidates`` that counts no ballot."""
+    return CondensedProfile(tuple(candidates), {}, {}, {})
+
+
+def ranked_ballot(ranks) -> RankedBallot:
+    """A raw ballot from one iterable of marks per rank position."""
+    return RankedBallot(tuple(frozenset(marks) for marks in ranks))
+
+
 def expand_ballots(profile: CondensedProfile) -> list[tuple]:
     ballots: list[tuple] = []
     for c in profile.candidates:
@@ -81,6 +91,20 @@ def _rank(ballot: tuple, candidate: str):
     if kind == "over2":
         return 0 if candidate in ballot[1:] else None
     return None
+
+
+def brute_top_choices(profile: CondensedProfile, among) -> dict[str, int]:
+    """Per candidate of ``among``, in its order, the ballots ranking them above the rest of it.
+
+    Each bullet or full-ranking ballot is read on its own; one that ranks
+    none of ``among`` counts for no one, and overvotes never count.
+    """
+    counts = dict.fromkeys(among, 0)
+    for ballot in expand_ballots(profile):
+        ranked = [c for c in among if _rank(ballot, c) is not None]
+        if ballot[0] in ("bullet", "full") and ranked:
+            counts[min(ranked, key=lambda c: _rank(ballot, c))] += 1
+    return counts
 
 
 def brute_pairwise(profile: CondensedProfile, include_ties: bool):
@@ -361,7 +385,7 @@ def per_ballot_ingest(doc: dict) -> CondensedProfile:
                     raise ParseError(
                         f"ballot {i} rank {j + 1}: mark {mark!r} names no roster candidate"
                     )
-        ballots.append(RankedBallot.from_marks(raw_ballot))
+        ballots.append(ranked_ballot(raw_ballot))
     return condense([classify_ballot(b, roster) for b in ballots], roster)
 
 

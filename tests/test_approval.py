@@ -14,6 +14,8 @@ from ballotlab import (
     uniform_threshold,
 )
 
+from .oracles import zero_profile
+
 ABC = ("A", "B", "C")
 
 
@@ -29,12 +31,12 @@ class TestApprovalRange:
         assert rng.minimum == rng.maximum == {"A": 4, "B": 2, "C": 1}
 
     def test_zero_profile(self):
-        rng = approval_range(CondensedProfile.zero(ABC))
+        rng = approval_range(zero_profile(ABC))
         assert rng.minimum == rng.maximum == {c: 0 for c in ABC}
 
     def test_requires_three_candidates(self):
         with pytest.raises(ValueError, match="3 candidates"):
-            approval_range(CondensedProfile.zero(("A", "B", "C", "D")))
+            approval_range(zero_profile(("A", "B", "C", "D")))
 
 
 class TestEvaluate:

@@ -8,18 +8,17 @@ from ballotlab import (
     MalformedBallotError,
     OvervoteTopAll,
     OvervoteTopTwo,
-    RankedBallot,
     classify_ballot,
     condense,
 )
 
-from .oracles import expand, scaled
+from .oracles import expand, ranked_ballot, scaled, zero_profile
 
 ROSTER = ("Begich", "Palin", "Peltola")
 
 
 def ballot(*ranks):
-    return RankedBallot.from_marks(ranks)
+    return ranked_ballot(ranks)
 
 
 class TestClassifyBallot:
@@ -118,7 +117,7 @@ class TestCondense:
         assert profile.blank_count == 0
 
     def test_empty_sequence(self):
-        assert condense([], ROSTER) == CondensedProfile.zero(ROSTER)
+        assert condense([], ROSTER) == zero_profile(ROSTER)
 
     def test_preserves_cardinality(self):
         classes = [

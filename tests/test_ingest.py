@@ -11,7 +11,6 @@ from ballotlab import (
     Full,
     MalformedBallotError,
     ParseError,
-    RankedBallot,
     RawCvrDocument,
     classify_ballot,
     ingest,
@@ -23,6 +22,7 @@ from ballotlab.cli import run
 from ballotlab.ingest import ingest_raw
 
 from .conftest import alaska
+from .oracles import ranked_ballot, zero_profile
 
 
 def raw_doc(ballots, candidates=("A", "B", "C")):
@@ -134,7 +134,7 @@ class TestIngest:
         assert profile.total_with_any_mark == 0
 
     def test_zero_ballots(self):
-        assert ingest(parse_raw(raw_doc([]))) == CondensedProfile.zero(("A", "B", "C"))
+        assert ingest(parse_raw(raw_doc([]))) == zero_profile(("A", "B", "C"))
 
     def test_partitions_input(self):
         doc = parse_raw(raw_doc([
@@ -155,8 +155,8 @@ class TestIngest:
                      id="rank-count-beats-unknown-mark"),
     ])
     def test_hand_built_document_errors(self, ranks, message):
-        doc = RawCvrDocument(("A", "B", "C"), (RankedBallot.from_marks([["A"], ["B"], []]),
-                                               RankedBallot.from_marks(ranks)))
+        doc = RawCvrDocument(("A", "B", "C"), (ranked_ballot([["A"], ["B"], []]),
+                                               ranked_ballot(ranks)))
         with pytest.raises(MalformedBallotError, match=f"^{re.escape(message)}$"):
             ingest(doc)
 
@@ -503,14 +503,37 @@ class TestCondensedFile:
         pytest.param("bullet:C,1\nover3:A+B,5",
                      "all-overvote pattern must list the whole roster, got ['A', 'B'] "
                      "with roster ['C', 'A', 'B']", id="over3-not-whole-roster"),
-        pytest.param("bullet:A,1\nbullet: A,2", "candidate names must be distinct: ['A', 'A']",
+        pytest.param("bullet:A,1\nbullet: A,2",
+                     "candidate name ' A' has leading or trailing whitespace",
                      id="names-clash-after-trimming"),
+        pytest.param("bullet: A,2", "candidate name ' A' has leading or trailing whitespace",
+                     id="leading-space"),
+        pytest.param("bullet:A ,2", "candidate name 'A ' has leading or trailing whitespace",
+                     id="trailing-space"),
+        pytest.param("bullet:\tA,2", "candidate name '\\tA' has leading or trailing whitespace",
+                     id="leading-tab"),
+        pytest.param("bullet: A,2\nbullet:B,1\nfull:A>B,3",
+                     "candidate name ' A' has leading or trailing whitespace",
+                     id="padded-then-plain"),
+        pytest.param("full:A> B,2", "candidate name ' B' has leading or trailing whitespace",
+                     id="padded-in-full"),
+        pytest.param("over2:A +B,2", "candidate name 'A ' has leading or trailing whitespace",
+                     id="padded-in-over2"),
+        pytest.param("over3:A+B+ C,2", "candidate name ' C' has leading or trailing whitespace",
+                     id="padded-in-over3"),
     ])
     def test_error_message(self, rows, message):
         """``rows`` follow the header, or are the whole file when given as bytes."""
         data = rows if isinstance(rows, bytes) else f"pattern,count\n{rows}\n".encode()
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             parse_condensed(data)
+
+    def test_padded_name_is_refused_by_the_cli(self, capsys, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_bytes(b"pattern,count\nfull: A>B,2\nbullet:B,1\n")
+        assert run(["irv", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: candidate name ' A' has leading or trailing whitespace\n")
 
     def test_line_break_in_a_name_is_refused(self, capsys, tmp_path):
         path, out = tmp_path / "raw.json", tmp_path / "profile.csv"

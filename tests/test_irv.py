@@ -9,6 +9,8 @@ from ballotlab import (
     tabulate_irv,
 )
 
+from .oracles import zero_profile
+
 ABC = ("A", "B", "C")
 
 
@@ -100,7 +102,7 @@ class TestSmallProfiles:
 
     def test_empty_profile_rejected(self):
         with pytest.raises(ValueError):
-            tabulate_irv(CondensedProfile.zero(ABC))
+            tabulate_irv(zero_profile(ABC))
 
     def test_winner_has_strict_majority(self, alaska_profile):
         outcome = tabulate_irv(alaska_profile)

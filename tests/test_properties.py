@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -46,12 +47,15 @@ from .oracles import (
     brute_pairwise,
     brute_star,
     brute_star_scores,
+    brute_top_choices,
     expand,
     per_ballot_ingest,
     per_point_sweep,
+    ranked_ballot,
     scan_star_threshold,
     scaled,
     truncated_ballots,
+    zero_profile,
 )
 from ballotlab.ingest import _RESERVED, ingest_raw
 
@@ -194,7 +198,7 @@ class TestRawIngest:
         # The two paths share their checks; the per-ballot reading shares none of them.
         if isinstance(one_pass[0], CondensedProfile):
             assert one_pass[0] == two_pass == per_ballot_ingest(doc)
-            ballots = [RankedBallot.from_marks(b) for b in doc["ballots"]]
+            ballots = [ranked_ballot(b) for b in doc["ballots"]]
             assert one_pass[1] == truncated_ballots(ballots, tuple(doc["candidates"]))
         else:
             assert one_pass == two_pass == _outcome(lambda: per_ballot_ingest(doc))
@@ -250,6 +254,16 @@ class TestCondensedRoundTrips:
     @given(profiles())
     def test_expand_condense_identity(self, profile):
         assert condense(expand(profile), profile.candidates) == profile
+
+
+class TestTopChoices:
+    @given(named_profiles())
+    def test_matches_per_ballot_count_for_every_ordered_subset(self, profile):
+        roster = profile.candidates
+        for k in range(len(roster) + 1):
+            for among in itertools.permutations(roster, k):
+                counts = profile.top_choices(among)
+                assert list(counts.items()) == list(brute_top_choices(profile, among).items())
 
 
 class TestPairwiseProperties:
@@ -562,7 +576,7 @@ class TestRosterRule:
             uniform_star_threshold(profile, a, b)
 
     def test_roster_is_refused_before_the_grid_and_the_groups(self):
-        profile = CondensedProfile.zero(("A", "B", "C", "D"))
+        profile = zero_profile(("A", "B", "C", "D"))
         for model in (
             lambda: sweep_uniform(profile, 0),
             lambda: sweep_star(profile, 7),

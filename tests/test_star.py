@@ -14,7 +14,7 @@ from ballotlab import (
     uniform_star_threshold,
 )
 
-from .oracles import per_point_sweep
+from .oracles import per_point_sweep, zero_profile
 
 ABC = ("A", "B", "C")
 
@@ -31,12 +31,12 @@ class TestStarRange:
         assert rng.minimum == rng.maximum == {"A": 20, "B": 10, "C": 5}
 
     def test_zero_profile(self):
-        rng = star_range(CondensedProfile.zero(ABC))
+        rng = star_range(zero_profile(ABC))
         assert rng.minimum == rng.maximum == {c: 0 for c in ABC}
 
     def test_requires_three_candidates(self):
         with pytest.raises(ValueError, match="3 candidates"):
-            star_range(CondensedProfile.zero(("A", "B", "C", "D")))
+            star_range(zero_profile(("A", "B", "C", "D")))
 
 
 class TestEvaluate:
