@@ -40,6 +40,7 @@ from .errors import (
 from .ingest import ingest_raw, parse_condensed, write_condensed
 from .rational import decimal_string, exact_rational, fraction_token, percent_string
 from .report import (
+    CSV,
     FORMATS,
     TABLE,
     Cell,
@@ -66,9 +67,10 @@ def run(argv: Sequence[str]) -> int:
         profile, data = _load_profile(args)
         output = args.build(args, profile)
         if isinstance(output, Report):
-            if args.format == TABLE:
+            fmt = args.format or TABLE
+            if fmt == TABLE:
                 output.notes.append(_provenance(argv, data))
-            output = emit_table(output, args.format)
+            output = emit_table(output, fmt)
         if args.out:
             Path(args.out).write_bytes(output)
         else:
@@ -153,7 +155,11 @@ def _scenario_rates(args: argparse.Namespace,
     if uniform is not None:
         value = exact_rational(uniform, f"--{flag}")
         rates = {g: value for g in profile.ranking_groups()}
+    given: set[approval.Group] = set()
     for group, raw in getattr(args, f"{flag}_group") or []:
+        if group in given:
+            raise ValueError(f"--{flag}-group repeats group {group[0]}>{group[1]}")
+        given.add(group)
         rates[group] = exact_rational(raw, f"--{flag}-group")
     return rates
 
@@ -264,6 +270,8 @@ def _squeeze(args: argparse.Namespace, profile: CondensedProfile) -> Report:
 
 def _range(args: argparse.Namespace, profile: CondensedProfile) -> Report | bytes:
     """``approval range`` and ``star range``."""
+    if args.plot_data and args.format not in (None, CSV):
+        raise ValueError(f"--plot-data writes CSV and cannot take --format {args.format}")
     is_star = args.command == "star"
     if is_star:
         rng, title = star.star_range(profile), "STAR voting: possible score ranges"
@@ -370,7 +378,7 @@ def _flag(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
 _FILE = _flag("file", help="condensed profile (.csv) or raw cast-vote-record (.json)")
 _INPUT_FORMAT = _flag("--input-format", choices=("raw", "condensed"),
                       help="override input detection by file extension")
-_FORMAT = _flag("--format", choices=FORMATS, default=TABLE, help="output format")
+_FORMAT = _flag("--format", choices=FORMATS, help=f"output format (default: {TABLE})")
 _OUT = _flag("--out", help="write to this path instead of standard output")
 _IO = (_FILE, _INPUT_FORMAT, _FORMAT, _OUT)
 _PLOT_DATA = _flag("--plot-data", action="store_true",

@@ -16,7 +16,8 @@ Two formats are supported:
   FS, GS, RS, NEL, LS or PS, each character ``str.splitlines`` splits at.
 
 The command line's one pass (:func:`ingest_raw`) and the library's
-:func:`parse_raw` then :func:`ingest` run the same checks and end in one
+:func:`parse_raw` then :func:`ingest` run the same checks, :func:`_grids`:
+each ballot's shape, then each distinct raw rank once.  They end in one
 tail, :func:`_tally`: classify, condense and count truncated ballots.
 """
 
@@ -158,17 +159,12 @@ def _grids(raw_ballots: list, roster_set: frozenset[str], rank_marks):
     """Check each raw ballot in file order and yield its grid: the tuple of
     ``rank_marks(marks)`` over each rank's mark set.
 
-    Every ballot is checked for being an array with the first ballot's rank
-    count.  The per-rank checks run only where the raw marks are new: a
-    ballot repeating an earlier ballot's raw marks yields its grid, and a
-    rank repeating an earlier rank's raw marks reuses their ``rank_marks``.
-    What is reused passed the checks at its first occurrence, so an error
-    still names the first offending ballot and rank.
+    Each ballot gets only its shape checks: an array with the first ballot's
+    rank count.  :func:`_check_rank` runs once per distinct raw rank; an array
+    rank repeating earlier raw marks reuses their ``rank_marks``, which passed
+    the checks there, so an error still names the first offending ballot and rank.
     """
-    # checked: raw-mark key of a ballot that passed the checks -> its grid.
-    # ranks_seen: raw marks of a rank that passed them -> rank_marks of their set.
-    checked: dict[tuple, tuple[frozenset[str], ...]] = {}
-    ranks_seen: dict[tuple[str, ...], frozenset[str]] = {}
+    ranks_seen: dict[tuple[str, ...], frozenset[str]] = {}  # checked raw marks -> rank_marks
     rank_positions: int | None = None
     for i, raw_ballot in enumerate(raw_ballots):
         if not isinstance(raw_ballot, list):
@@ -179,28 +175,17 @@ def _grids(raw_ballots: list, roster_set: frozenset[str], rank_marks):
             raise ParseError(
                 f"ballot {i} has {len(raw_ballot)} rank positions, expected {rank_positions}"
             )
-        # The rank types are part of the key: a string or object rank
-        # iterates to the same marks as an array of them.  A rank that is
-        # not iterable, or an array or object mark, raises TypeError here
-        # and fails the checks in _check_rank.
-        try:
-            key = (*map(tuple, raw_ballot), *map(type, raw_ballot))
-            grid = checked.get(key)
-        except TypeError:
-            key = grid = None
-        if grid is None:
-            ranks = []
-            for j, raw_rank in enumerate(raw_ballot):
-                marks = (ranks_seen.get(key[j]) if key is not None and isinstance(raw_rank, list)
-                         else None)
-                if marks is None:
-                    marks = ranks_seen[tuple(raw_rank)] = rank_marks(
-                        _check_rank(i, j, raw_rank, roster_set))
-                ranks.append(marks)
-            grid = tuple(ranks)
-            if key is not None:
-                checked[key] = grid
-        yield grid
+        ranks = []
+        for j, raw_rank in enumerate(raw_ballot):
+            try:  # a string or object rank iterates to marks too, so only arrays are looked up
+                marks = ranks_seen.get(tuple(raw_rank)) if isinstance(raw_rank, list) else None
+            except TypeError:  # an array or object mark: _check_rank names the error
+                marks = None
+            if marks is None:
+                marks = ranks_seen[tuple(raw_rank)] = rank_marks(
+                    _check_rank(i, j, raw_rank, roster_set))
+            ranks.append(marks)
+        yield tuple(ranks)
 
 
 def _check_rank(i: int, j: int, raw_rank: object, roster_set: frozenset[str]) -> frozenset[str]:

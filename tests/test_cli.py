@@ -135,6 +135,33 @@ class TestDispatchAndErrors:
         assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv, message", [
+        (["approval", "eval", "--p-group", "Peltola>Begich=0.1", "--p-group", "Peltola>Begich=0.9"],
+         "--p-group repeats group Peltola>Begich"),
+        (["approval", "eval", "--p", "0", "--p-group", "Palin>Begich=1",
+          "--p-group", "Peltola>Begich=0.5", "--p-group", "Palin>Begich=1"],
+         "--p-group repeats group Palin>Begich"),
+        (["star", "eval", "--s-group", "Begich>Palin=4", "--s-group", "Begich>Palin=2"],
+         "--s-group repeats group Begich>Palin"),
+        (["star", "eval", "--s", "1", "--s-group", "Begich>Palin=4", "--s-group", "Begich>Palin=4"],
+         "--s-group repeats group Begich>Palin"),
+    ])
+    def test_repeated_group_flag_is_usage_error(self, capsys, fixture, argv, message):
+        code, out, err = invoke(capsys, *argv[:2], fixture, *argv[2:])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["approval", "eval", "--p", "0.35", "--p-group", "Peltola>Begich=0.9",
+         "--p-group", "Begich>Peltola=0.9"],
+        ["star", "eval", "--s", "1", "--s-group", "Begich>Palin=4", "--s-group", "Palin>Begich=4"],
+    ])
+    def test_group_flags_override_the_uniform_value_once_each(self, capsys, fixture, argv):
+        code, out, err = invoke(capsys, *argv[:2], fixture, *argv[2:], "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.startswith("item,value\n")
+
+    @pytest.mark.parametrize("argv, message", [
         (["approval", "threshold", "--riser", "Begich", "--leader", "Begich"],
          "riser and leader must differ"),
         (["approval", "threshold", "--riser", "Nobody", "--leader", "Peltola"],
@@ -458,6 +485,16 @@ class TestCommandOutputs:
         code, star_out, _ = invoke(capsys, "star", "range", fixture, "--plot-data")
         assert code == 0
         assert "Begich,potential,Peltola,142287" in star_out
+
+    @pytest.mark.parametrize("model", ["approval", "star"])
+    def test_plot_data_takes_format_csv_only(self, capsys, fixture, model):
+        plain = invoke(capsys, model, "range", fixture, "--plot-data")
+        assert plain[0] == 0
+        assert invoke(capsys, model, "range", fixture, "--plot-data", "--format", "csv") == plain
+        assert invoke(capsys, model, "range", "--format", "csv", fixture, "--plot-data") == plain
+        for fmt in ("table", "json-lines"):
+            assert invoke(capsys, model, "range", fixture, "--plot-data", "--format", fmt) == (
+                2, "", f"error: --plot-data writes CSV and cannot take --format {fmt}\n")
 
 
 class TestBeyondThreeCandidates:

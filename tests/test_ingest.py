@@ -278,6 +278,47 @@ class TestRepeatedGridErrors:
         )
 
 
+class TestOneCheckPerDistinctRank:
+    """Each distinct raw array rank is checked once, in file order, up to the first error."""
+
+    BALLOTS = [
+        [["A"], ["B"], []], [["A"], ["B"], []], [["B", "A"], [], []], [["A"], [], ["B"]],
+        [["A", "B"], ["WRITEIN:x"], []], [["B"], ["WRITEIN:x"], ["A"]],
+    ]
+    FIRST_SEEN = [(0, 0, ["A"]), (0, 1, ["B"]), (0, 2, []), (2, 0, ["B", "A"]),
+                  (4, 0, ["A", "B"]), (4, 1, ["WRITEIN:x"])]
+
+    def checks(self, monkeypatch, read, ballots):
+        module = sys.modules["ballotlab.ingest"]
+        check_rank, calls = module._check_rank, []
+
+        def spy(i, j, raw_rank, roster_set):
+            calls.append((i, j, raw_rank))
+            return check_rank(i, j, raw_rank, roster_set)
+
+        monkeypatch.setattr(module, "_check_rank", spy)
+        try:
+            read(raw_doc(ballots))
+        except ParseError:
+            pass
+        return calls
+
+    @pytest.mark.parametrize("read", [parse_raw, ingest_raw])
+    def test_repeated_ranks_are_not_checked_again(self, monkeypatch, read):
+        assert self.checks(monkeypatch, read, self.BALLOTS) == self.FIRST_SEEN
+
+    @pytest.mark.parametrize("read", [parse_raw, ingest_raw])
+    @pytest.mark.parametrize(("broken", "last"), [
+        pytest.param([["A"], "B", []], [(6, 1, "B")], id="string-rank-spelling-a-seen-rank"),
+        pytest.param([["A"], [["B"]], []], [(6, 1, [["B"]])], id="nested-array-mark"),
+        pytest.param([["C"], ["D"], []], [(6, 0, ["C"]), (6, 1, ["D"])], id="unknown-mark"),
+        pytest.param([["C"], []], [], id="rank-count"),
+    ])
+    def test_checks_stop_at_the_first_error(self, monkeypatch, read, broken, last):
+        ballots = [*self.BALLOTS, broken, [["C"], [], ["B", "A"]]]
+        assert self.checks(monkeypatch, read, ballots) == [*self.FIRST_SEEN, *last]
+
+
 class TestGcPause:
     """parse_raw decodes with the cyclic collector paused and restores the caller's setting."""
 
