@@ -5,38 +5,31 @@ files are auto-detected by extension (``.json`` raw cast-vote-record,
 ``.csv`` condensed profile) unless ``--input-format`` overrides.
 
 Exit codes: 0 success; 1 domain error (decisive tie, unattainable
-threshold, no valid ranked ballot to tabulate, truncated rankings of a
-raw CVR with 4 or more candidates); 2 usage or parse
-error, or an output file that cannot be written.  Machine output
-formats are byte-deterministic; the table format appends a provenance
-footer.
+threshold, no valid ranked ballot to tabulate); 2 usage or parse error,
+or an output file that cannot be written.  Machine output formats are
+byte-deterministic; the table format appends a provenance footer.  A
+raw CVR's profile keeps every ranked choice; only ``ingest``, whose CSV
+keeps two, warns when it drops later ones.
 
 Each command is one row of :data:`COMMANDS`: path, help text, builder
-and flags.  :func:`run` loads the profile, calls the builder and renders
-the :class:`Report` it returns (``ingest`` and ``--plot-data`` return
-bytes).  The model modules are imported lazily (see the package
-docstring), so a command executes only the model it calls; the table
-therefore holds only this module's builders, and ``hashlib`` is
-imported only for the table footer's digest.
+and flags, added only for the command being run.  :func:`run` loads the
+profile, calls the builder and renders the :class:`Report` it returns
+(``ingest`` and ``--plot-data`` return bytes).  The model modules are
+imported lazily (see the package docstring), so a command executes only
+the model it calls; the table therefore holds only this module's
+builders, and ``hashlib`` is imported only for the table footer's digest.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from pathlib import Path
-from typing import Sequence
 
 from . import __version__, approval, condorcet, irv, star
 from .core import CondensedProfile
-from .errors import (
-    DecisiveTieError,
-    NoValidBallotsError,
-    ParseError,
-    TruncatedRankingsError,
-    UnattainableError,
-)
+from .errors import DecisiveTieError, NoValidBallotsError, ParseError, UnattainableError
 from .ingest import ingest_raw, parse_condensed, write_condensed
 from .rational import decimal_string, exact_rational, fraction_token, percent_string
 from .report import (
@@ -57,7 +50,7 @@ def main() -> None:
 
 def run(argv: Sequence[str]) -> int:
     """Parse arguments, build the command's output, and stream it."""
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -72,12 +65,12 @@ def run(argv: Sequence[str]) -> int:
                 output.notes.append(_provenance(argv, data))
             output = emit_table(output, fmt)
         if args.out:
-            Path(args.out).write_bytes(output)
+            with open(args.out, "wb") as out:
+                out.write(output)
         else:
             sys.stdout.buffer.write(output)
             sys.stdout.buffer.flush()
-    except (DecisiveTieError, UnattainableError, NoValidBallotsError,
-            TruncatedRankingsError) as exc:
+    except (DecisiveTieError, UnattainableError, NoValidBallotsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:  # ParseError and MalformedBallotError among them
@@ -114,30 +107,13 @@ def _parse_grid(text: str) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def _load_profile(args: argparse.Namespace) -> tuple[CondensedProfile, bytes]:
-    data = Path(args.file).read_bytes()
-    fmt = args.input_format
+    with open(args.file, "rb") as f:
+        data = f.read()
+    extension = args.file[args.file.rfind("."):]
+    fmt = args.input_format or {".json": "raw", ".csv": "condensed"}.get(extension)
     if fmt is None:
-        if args.file.endswith(".json"):
-            fmt = "raw"
-        elif args.file.endswith(".csv"):
-            fmt = "condensed"
-        else:
-            raise ParseError(
-                f"cannot infer input format of {args.file!r}; pass --input-format"
-            )
-    if fmt == "raw":
-        profile, truncated = ingest_raw(data)
-        if truncated:
-            cut = (f"{truncated} {'ballot ranks' if truncated == 1 else 'ballots rank'} a "
-                   "candidate after the second choice")
-            if args.command in ("irv", "pairwise", "condorcet", "squeeze"):
-                raise TruncatedRankingsError(
-                    f"{cut}; with 4 or more candidates {args.command} keeps only "
-                    "the first two choices and would ignore the later ones")
-            print(f"warning: {cut}; the first-and-second-choice profile drops those later "
-                  "choices", file=sys.stderr)
-        return profile, data
-    return parse_condensed(data), data
+        raise ParseError(f"cannot infer input format of {args.file!r}; pass --input-format")
+    return (ingest_raw if fmt == "raw" else parse_condensed)(data), data
 
 
 def _provenance(argv: Sequence[str], data: bytes) -> str:
@@ -173,6 +149,11 @@ def _items(title: str, rows, notes: Sequence[str] = ()) -> Report:
 
 
 def _ingest(args: argparse.Namespace, profile: CondensedProfile) -> bytes:
+    later = sum(n for prefs, n in profile.full.items() if len(prefs) > 2)
+    if later:  # the CSV keeps two choices per ranking
+        print(f"warning: {later} {'ballot ranks' if later == 1 else 'ballots rank'} a "
+              "candidate after the second choice; the first-and-second-choice profile drops "
+              "those later choices", file=sys.stderr)
     return write_condensed(profile)
 
 
@@ -433,7 +414,8 @@ COMMANDS = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """Every command, but flags only on the row ``argv`` runs: argparse reads no other's."""
     parser = argparse.ArgumentParser(
         prog="ballotlab",
         description="Tabulate ranked-ballot profiles: instant runoff, head-to-head "
@@ -444,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for path, help_text, build, *flags in COMMANDS:
         group, _, name = path.rpartition(" ")
         p = groups[group].add_parser(name, help=help_text)
-        for names, kwargs in flags:
+        for names, kwargs in flags if path.split() == [*argv[:path.count(" ") + 1]] else ():
             p.add_argument(*names, **kwargs)
         if build is None:
             groups[name] = p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")

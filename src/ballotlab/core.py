@@ -1,13 +1,12 @@
 """Ballot classification and condensed preference profiles.
 
-A ranked ballot in a three-candidate race carries far less information
-than its rank grid suggests: once write-in marks are dropped and skipped
-rankings are compressed, every ballot collapses to one of a handful of
-patterns -- a bullet vote, a (first, second) ranking with the remaining
-candidate implied last, a top-rank overvote, or a blank.  A
-:class:`CondensedProfile` stores one count per pattern (13 integers for
-three candidates) and is the input every tabulation in this package
-runs on.
+A ranked ballot carries less information than its rank grid suggests:
+once write-in marks are dropped and skipped rankings are compressed,
+every ballot collapses to a bullet vote, a ranking of two or more
+candidates (:func:`read_ranking`), a top-rank overvote, or a blank.  In a
+three-candidate race a ranking is a (first, second) pair with the third
+candidate implied last, so a :class:`CondensedProfile` stores 13
+integers; it is the input every tabulation in this package runs on.
 
 Every value type of the package is a :class:`Record`, a slotted class
 that compares, hashes and reprs by value and generates no code at import.
@@ -136,8 +135,8 @@ class Bullet(Record):
 class Full(Record):
     """Ballot ranking a first and a distinct second choice.
 
-    With three candidates the third preference is implied; with more,
-    the pattern records first > second > (everyone else, unordered).
+    With three candidates the third preference is implied; with more, a
+    raw CVR's profile keeps the whole ranking (:func:`read_ranking`).
     """
 
     first: str
@@ -177,12 +176,20 @@ def classification_roster(roster: tuple[str, ...]) -> frozenset[str]:
     return frozenset(candidates)
 
 
-def roster_marks(marks: frozenset[str], roster_set: frozenset[str]) -> frozenset[str]:
-    """``marks`` without its write-ins; a mark that is neither raises."""
-    unknown = [m for m in marks - roster_set if not is_write_in(m)]
-    if unknown:
-        raise MalformedBallotError(f"mark {min(unknown)!r} names no roster candidate")
-    return marks & roster_set
+def read_ranking(ranks: Sequence[frozenset[str]], depth: int) -> tuple[str, ...]:
+    """Up to ``depth`` names a ballot ranks, top first, from its roster-only mark
+    sets, the first a single name: a later rank adding one new name extends the
+    ranking, one adding two or more ends it."""
+    order = list(ranks[0])
+    for marks in ranks[1:]:
+        if len(order) == depth:
+            break
+        new = marks if len(marks) == 1 else marks.difference(order)  # one mark: no new set
+        if len(new) > 1:
+            break
+        if new.isdisjoint(order):
+            order += new
+    return tuple(order)
 
 
 def classify_ballot(ballot: RankedBallot, roster: Sequence[str]) -> BallotClass:
@@ -191,11 +198,10 @@ def classify_ballot(ballot: RankedBallot, roster: Sequence[str]) -> BallotClass:
     Normalization order: delete write-in marks, compress now-empty rank
     positions, then read the leading ranks.  A top rank covering the
     whole roster is an all-way overvote; exactly two marks is a top-two
-    overvote; a single mark fixes the first choice, and the next
-    remaining rank supplies the second choice when it holds exactly one
-    distinct mark.  A later duplicate of the first choice is ignored,
-    and a second-rank overvote yields a bullet (the voter expressed no
-    usable preference among the rest).  Each roster is validated once.
+    overvote; a single mark fixes the first choice and :func:`read_ranking`
+    the second: a later duplicate of the first is ignored, and a second-rank
+    overvote yields a bullet (the voter expressed no usable preference among
+    the rest).  Each roster is validated once.
     """
     roster_set = classification_roster(tuple(roster))
     if len(ballot.ranks) > len(roster_set):
@@ -205,8 +211,11 @@ def classify_ballot(ballot: RankedBallot, roster: Sequence[str]) -> BallotClass:
         )
     ranks = []
     for marks in ballot.ranks:
-        if not marks <= roster_set:
-            marks = roster_marks(marks, roster_set)
+        if not marks <= roster_set:  # drop write-ins; any other mark raises
+            unknown = [m for m in marks - roster_set if not is_write_in(m)]
+            if unknown:
+                raise MalformedBallotError(f"mark {min(unknown)!r} names no roster candidate")
+            marks &= roster_set
         if marks:
             ranks.append(marks)
 
@@ -224,30 +233,25 @@ def classify_ballot(ballot: RankedBallot, roster: Sequence[str]) -> BallotClass:
             f"top-rank overvote of {len(top)} marks covers neither two "
             f"candidates nor the whole roster"
         )
-    first = next(iter(top))
-    for marks in ranks[1:]:
-        rest = marks - {first}
-        if not rest:
-            continue
-        if len(rest) == 1:
-            return Full(first=first, second=next(iter(rest)))
-        return Bullet(first=first)
-    return Bullet(first=first)
+    names = read_ranking(ranks, 2)
+    return Full(*names) if len(names) == 2 else Bullet(*names)
 
 
 class CondensedProfile(Record):
     """Counts of ballots by preference pattern for one race.
 
-    Zero counts are dropped on construction, so profiles compare equal
-    regardless of whether absent patterns were spelled out.  All counts
-    must be nonnegative and refer only to roster candidates.  Tabulations
-    read rankings through :meth:`rankings`, and count each one for its
-    highest-ranked candidate among those in play through :meth:`top_choices`.
+    ``full`` counts rankings, top first, of 2 to max(2, N - 1) of the N
+    candidates, the last being implied.  Zero counts are dropped on
+    construction, so profiles compare equal regardless of whether absent
+    patterns were spelled out.  All counts must be nonnegative and refer
+    only to roster candidates.  Tabulations read rankings through
+    :meth:`rankings`, and count each one for its highest-ranked candidate
+    among those in play through :meth:`top_choices`.
     """
 
     candidates: tuple[str, ...]
     bullet: dict[str, int]
-    full: dict[tuple[str, str], int]
+    full: dict[tuple[str, ...], int]
     over2: dict[frozenset[str], int]
     over3: int = 0
     blank_count: int = 0
@@ -260,11 +264,12 @@ class CondensedProfile(Record):
         for c in self.bullet:
             if c not in roster_set:
                 raise ValueError(f"bullet pattern names non-roster candidate {c!r}")
-        for first, second in self.full:
-            if first == second:
-                raise ValueError(f"full pattern repeats candidate {first!r}")
-            if first not in roster_set or second not in roster_set:
-                raise ValueError(f"full pattern {(first, second)!r} leaves the roster")
+        depth = max(2, len(roster) - 1)
+        for prefs in self.full:
+            if not 2 <= len(set(prefs)) == len(prefs) <= depth:
+                raise ValueError(f"full pattern {prefs!r} needs 2 to {depth} distinct names")
+            if not roster_set.issuperset(prefs):
+                raise ValueError(f"full pattern {prefs!r} leaves the roster")
         for pair in self.over2:
             if len(pair) != 2 or not pair <= roster_set:
                 raise ValueError(f"overvote pair {sorted(pair)!r} is invalid")
@@ -299,7 +304,8 @@ class CondensedProfile(Record):
         return self.bullet.get(candidate, 0)
 
     def full_count(self, first: str, second: str) -> int:
-        return self.full.get((first, second), 0)
+        """Rankings whose first two names are ``first`` then ``second``."""
+        return sum(n for prefs, n in self.full.items() if prefs[:2] == (first, second))
 
     def over2_count(self, a: str, b: str) -> int:
         return self.over2.get(frozenset((a, b)), 0)
@@ -325,7 +331,7 @@ class CondensedProfile(Record):
 
     def rankings(self) -> list[tuple[tuple[str, ...], int]]:
         """Each valid ranked pattern as ``(preferences, count)``: ``((c,), n)``
-        for a bullet, ``((first, second), n)`` for a full ranking."""
+        for a bullet, the ranking's names top first for a full ranking."""
         return [((c,), n) for c, n in self.bullet.items()] + list(self.full.items())
 
     def first_place_totals(self, include_top_ties: bool = False) -> dict[str, int]:
@@ -387,9 +393,9 @@ def condense(classified: Iterable[BallotClass], roster: Sequence[str]) -> Conden
 def condense_weighted(
     weighted: Iterable[tuple[BallotClass, int]], roster: Sequence[str]
 ) -> CondensedProfile:
-    """Count ``(ballot class, number of ballots)`` pairs into a condensed profile."""
+    """Count ``(ballot class or whole ranking, number of ballots)`` pairs into a profile."""
     bullet: dict[str, int] = {}
-    full: dict[tuple[str, str], int] = {}
+    full: dict[tuple[str, ...], int] = {}
     over2: dict[frozenset[str], int] = {}
     over3 = 0
     blank = 0
@@ -399,6 +405,8 @@ def condense_weighted(
                 bullet[c] = bullet.get(c, 0) + n
             case Full(first=f, second=s):
                 full[(f, s)] = full.get((f, s), 0) + n
+            case tuple():
+                full[cls] = full.get(cls, 0) + n
             case OvervoteTopTwo(pair=p):
                 over2[p] = over2.get(p, 0) + n
             case OvervoteTopAll():

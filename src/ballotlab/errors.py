@@ -15,10 +15,6 @@ class NoValidBallotsError(ValueError):
     """A profile with no valid ranked ballot for a tabulation to count."""
 
 
-class TruncatedRankingsError(ValueError):
-    """Rankings whose later choices a tabulation would silently ignore."""
-
-
 class DecisiveTieError(Exception):
     """An exact tie that the requested tabulation cannot resolve."""
 

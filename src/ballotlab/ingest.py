@@ -18,7 +18,8 @@ Two formats are supported:
 The command line's one pass (:func:`ingest_raw`) and the library's
 :func:`parse_raw` then :func:`ingest` run the same checks, :func:`_grids`:
 each ballot's shape, then each distinct raw rank once.  They end in one
-tail, :func:`_tally`: classify, condense and count truncated ballots.
+tail, :func:`_tally`, whose profile keeps each ranking whole; the
+condensed file keeps only its first two names.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .core import (
     classify_ballot,
     condense_weighted,
     is_write_in,
+    read_ranking,
     validate_roster,
 )
 from .errors import ParseError
@@ -90,8 +92,8 @@ def parse_raw(data: bytes) -> RawCvrDocument:
 
 
 @_gc_paused
-def ingest_raw(data: bytes) -> tuple[CondensedProfile, int]:
-    """``ingest(parse_raw(data))`` and :func:`_tally`'s truncated count, in one pass.
+def ingest_raw(data: bytes) -> CondensedProfile:
+    """``ingest(parse_raw(data))`` in one pass.
 
     Each rank's raw marks map once to their roster-only mark set, and each
     ballot is counted under its roster-only grid; no per-voter ballot is
@@ -207,14 +209,15 @@ def _check_rank(i: int, j: int, raw_rank: object, roster_set: frozenset[str]) ->
 
 
 def ingest(doc: RawCvrDocument) -> CondensedProfile:
-    """Condense a raw CVR.  ``classify_ballot`` runs once per distinct
+    """Condense a raw CVR, keeping each ranking whole, unlike :func:`condense`
+    of each ballot's class.  ``classify_ballot`` runs once per distinct
     roster-only grid (write-ins dropped, empty ranks removed), in order of
     first appearance, so an error is the first offending ballot's."""
     roster_set = classification_roster(tuple(doc.candidates)) if doc.ballots else frozenset()
     reduced = _WithoutWriteIns(roster_set)
     ballots = dict(zip(map(id, doc.ballots), doc.ballots))
     return _tally(((tuple(map(reduced.__getitem__, ballots[key].ranks)), n)
-                   for key, n in Counter(map(id, doc.ballots)).items()), doc.candidates)[0]
+                   for key, n in Counter(map(id, doc.ballots)).items()), doc.candidates)
 
 
 class _WithoutWriteIns(dict):
@@ -230,23 +233,22 @@ class _WithoutWriteIns(dict):
         return self.setdefault(marks, self.setdefault(kept, kept))
 
 
-def _tally(weighted, roster: tuple[str, ...]) -> tuple[CondensedProfile, int]:
-    """Profile and truncated-ballot count of ``(grid, ballots)`` pairs, a grid
-    possibly in several.  Empty ranks are dropped, except from a grid of more ranks
-    than the roster, which ``classify_ballot`` rejects; it runs once per distinct
-    result, in order of first appearance.  With 4 or more candidates a ballot is
-    truncated when it names a third candidate after its second choice."""
-    classes, weights = {}, {}  # roster-only grid -> its class, its number of ballots
+def _tally(weighted, roster: tuple[str, ...]) -> CondensedProfile:
+    """Profile of ``(grid, ballots)`` pairs, a grid possibly in several.  Empty
+    ranks are dropped, except from a grid of more ranks than the roster, which
+    ``classify_ballot`` rejects; it runs once per distinct result, in order of
+    first appearance.  A :class:`Full` grid counts under its whole ranking,
+    read once by :func:`read_ranking`."""
+    depth = max(2, len(roster) - 1)
+    classes, weights = {}, {}  # roster-only grid -> its class or ranking, its number of ballots
     for grid, n in weighted:
         if len(grid) <= len(roster):
             grid = tuple(filter(None, grid))
         if grid not in classes:
-            classes[grid] = classify_ballot(RankedBallot(grid), roster)
+            cls = classify_ballot(RankedBallot(grid), roster)
+            classes[grid] = read_ranking(grid, depth) if cls.__class__ is Full else cls
         weights[grid] = weights.get(grid, 0) + n
-    profile = condense_weighted(((classes[g], n) for g, n in weights.items()), roster)
-    # A Full's ranks up to its second choice name only those two: a third name comes later.
-    return profile, sum(n for g, n in weights.items() if len(roster) > 3
-                        and classes[g].__class__ is Full and len(frozenset().union(*g)) > 2)
+    return condense_weighted(((classes[g], n) for g, n in weights.items()), roster)
 
 
 def _check_name(name: str) -> str:
@@ -346,13 +348,18 @@ def parse_condensed(data: bytes) -> CondensedProfile:
 def write_condensed(profile: CondensedProfile) -> bytes:
     """Serialize a profile with every pattern spelled out, roster order.
 
-    ``parse_condensed(write_condensed(p)) == p`` for all profiles.
+    A ranking counts under its first two names, so
+    ``parse_condensed(write_condensed(p)) == p`` for every profile whose
+    rankings name at most two candidates, as every 3-candidate one does.
     """
     lines = ["pattern,count"]
     for c in profile.candidates:
         lines.append(f"bullet:{_check_name(c)},{profile.bullet_count(c)}")
-    for first, second in profile.ranking_groups():
-        lines.append(f"full:{first}>{second},{profile.full_count(first, second)}")
+    heads = dict.fromkeys(profile.ranking_groups(), 0)
+    for prefs, n in profile.full.items():
+        heads[prefs[:2]] += n
+    for (first, second), n in heads.items():
+        lines.append(f"full:{first}>{second},{n}")
     for a, b in profile.candidate_pairs():
         lines.append(f"over2:{a}+{b},{profile.over2_count(a, b)}")
     if len(profile.candidates) >= 2:

@@ -9,6 +9,7 @@ plain tuple:
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from ballotlab import (
@@ -359,13 +360,48 @@ def random_profile(
     return CondensedProfile(candidates, bullet, full, over2, over3)
 
 
+def whole_ranking(ranks, roster) -> tuple[str, ...] | None:
+    """The ranking one raw ballot expresses, read on its own; ``None`` if its
+    top rank does not name exactly one candidate (a blank or a top overvote).
+
+    Write-ins and empty ranks are removed.  The remaining ranks are walked in
+    order, each one's not-yet-ranked candidates being its new ones: no new
+    candidate skips the rank, one is appended, two or more end the walk.
+    The last of N candidates is implied, so the first max(2, N - 1) are kept.
+    """
+    ranks = [set(marks) & set(roster) for marks in ranks]
+    ranks = [r for r in ranks if r]
+    if not ranks or len(ranks[0]) != 1:
+        return None
+    ranking: list[str] = []
+    for r in ranks:
+        new = sorted(r - set(ranking))
+        if len(new) > 1:
+            break
+        ranking += new
+    return tuple(ranking[:max(2, len(roster) - 1)])
+
+
+def per_ballot_profile(ballots, roster) -> CondensedProfile:
+    """Classify each :class:`RankedBallot` on its own, raising as
+    :func:`classify_ballot` does, and count each ballot with one first
+    choice under its :func:`whole_ranking`."""
+    classes = [classify_ballot(b, roster) for b in ballots]
+    rest = condense([c for c in classes if not isinstance(c, (Bullet, Full))], roster)
+    rankings = Counter(whole_ranking(b.ranks, roster) for b, c in zip(ballots, classes)
+                       if isinstance(c, (Bullet, Full)))
+    return CondensedProfile(rest.candidates, {r[0]: n for r, n in rankings.items() if len(r) == 1},
+                            {r: n for r, n in rankings.items() if len(r) > 1},
+                            rest.over2, rest.over3, rest.blank_count)
+
+
 def per_ballot_ingest(doc: dict) -> CondensedProfile:
-    """Check and classify each ballot of a decoded raw document on its own.
+    """Check and read each ballot of a decoded raw document on its own.
 
     ``doc`` is the JSON object of a raw CVR with a valid roster.  Every
     ballot gets the full structural check and its own
-    :class:`RankedBallot` and classification, with the same error
-    messages as :func:`ballotlab.parse_raw`, before any is classified.
+    :class:`RankedBallot`, with the same error messages as
+    :func:`ballotlab.parse_raw`, before any is read by :func:`per_ballot_profile`.
     """
     roster = validate_roster(doc["candidates"])
     ballots = []
@@ -386,30 +422,10 @@ def per_ballot_ingest(doc: dict) -> CondensedProfile:
                         f"ballot {i} rank {j + 1}: mark {mark!r} names no roster candidate"
                     )
         ballots.append(ranked_ballot(raw_ballot))
-    return condense([classify_ballot(b, roster) for b in ballots], roster)
+    return per_ballot_profile(ballots, roster)
 
 
-def truncated_ballots(ballots, roster) -> int:
-    """Count ballots whose later choices a first-and-second-choice profile drops.
-
-    Each :class:`RankedBallot` is read on its own: write-ins and empty
-    ranks are removed, a single first choice is found, then the first
-    later rank naming someone else.  If that rank names exactly one
-    other candidate (the second choice), the ballot is truncated when any
-    later rank names a third candidate.  Rosters under 4 never truncate.
-    """
-    if len(roster) < 4:
-        return 0
-    count = 0
-    for ballot in ballots:
-        ranks = [set(marks) & set(roster) for marks in ballot.ranks]
-        ranks = [r for r in ranks if r]
-        if not ranks or len(ranks[0]) != 1:
-            continue
-        first = next(iter(ranks[0]))
-        later = [(k, r - {first}) for k, r in enumerate(ranks) if k and r - {first}]
-        if not later or len(later[0][1]) != 1:
-            continue
-        k, (second,) = later[0][0], later[0][1]
-        count += any(r - {first, second} for r in ranks[k + 1:])
-    return count
+def later_choice_ballots(ballots, roster) -> int:
+    """Ballots whose :func:`whole_ranking` names three or more candidates: the
+    ones whose later choices a first-and-second-choice CSV drops."""
+    return sum(len(whole_ranking(b.ranks, roster) or ()) > 2 for b in ballots)

@@ -206,6 +206,10 @@ class TestSweep:
         points = sweep_uniform(profile, Fraction(1, 4))
         assert [w for _, w in points] == [("A",)] * 5
 
+    def test_start_past_end_is_named(self, alaska_profile):
+        with pytest.raises(ValueError, match="^grid start must not exceed grid end$"):
+            sweep_uniform(alaska_profile, Fraction(1, 100), start=Fraction(1, 2), end=Fraction(1, 5))
+
     def test_step_validation(self, alaska_profile):
         with pytest.raises(ValueError):
             sweep_uniform(alaska_profile, 0)

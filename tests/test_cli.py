@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -7,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from ballotlab import parse_condensed
-from ballotlab.cli import run
+from ballotlab import __version__, parse_condensed
+from ballotlab.cli import COMMANDS, run
 
 from .conftest import alaska
 
@@ -32,7 +33,7 @@ class TestDispatchAndErrors:
     def test_missing_file_is_parse_error(self, capsys):
         code, _, err = invoke(capsys, "irv", "no_such_file.csv")
         assert code == 2
-        assert "error:" in err
+        assert err == "error: [Errno 2] No such file or directory: 'no_such_file.csv'\n"
 
     def test_unknown_extension_needs_input_format(self, capsys, tmp_path):
         path = tmp_path / "profile.data"
@@ -91,7 +92,8 @@ class TestDispatchAndErrors:
         code, out, err = invoke(capsys, "irv", fixture, "--out", str(target))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and str(target) in err
+        reason = "[Errno 2] No such file or directory" if where == "missing-dir" else "[Errno 21] Is a directory"
+        assert err == f"error: {reason}: {str(target)!r}\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["approval", "sweep", "--grid", "0:1"],
@@ -108,6 +110,11 @@ class TestDispatchAndErrors:
         assert code == 2
         assert out == ""
         assert err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize("model, grid", [("approval", "0.5:0.2:0.01"), ("star", "3:2:0.5")])
+    def test_grid_start_past_end_is_named(self, capsys, fixture, model, grid):
+        assert invoke(capsys, model, "sweep", fixture, "--grid", grid) == (
+            2, "", "error: grid start must not exceed grid end\n")
 
     @pytest.mark.parametrize("candidate, group", [
         ("Nobody", "Begich>Nobody"),
@@ -195,24 +202,30 @@ def raw_file(tmp_path, ballots, candidates="ABCD") -> str:
 class TestTruncatedRankings:
     """With 4+ candidates, a ballot's third and later choices must not vanish silently."""
 
-    # True IRV elects B 7-5 in round 3; the first-and-second-choice profile
+    # True IRV elects B 7-5 in round 3; a first-and-second-choice profile
     # would elect A 5-4, and pairwise would report A over B.
     TWELVE = ["A---"] * 5 + ["B---"] * 4 + ["CDB-"] * 2 + ["DCB-"]
 
-    @pytest.mark.parametrize("command", ["irv", "pairwise", "condorcet", "squeeze"])
-    def test_full_ranking_commands_refuse(self, capsys, tmp_path, command):
-        code, out, err = invoke(capsys, command, raw_file(tmp_path, self.TWELVE))
-        assert (code, out) == (1, "")
-        assert err == (
-            "error: 3 ballots rank a candidate after the second choice; with 4 or more "
-            f"candidates {command} keeps only the first two choices and would ignore the later ones\n"
-        )
+    # Some rows each command prints for the twelve ballots, as CSV.
+    TWELVE_ROWS = {
+        "irv": ["3,A,5,5/12,5/12,0,0,12,continuing", "3,B,7,7/12,7/12,3,0,12,winner"],
+        "pairwise": ["A,B,5,7,0,5/12,7/12", "C,D,2,1,9,2/3,1/3"],
+        "condorcet": ["condorcet_winner,B", "condorcet_loser,D"],
+        "squeeze": ["squeezed,false", "condorcet_winner,B", "irv_winner,B"],
+    }
+
+    @pytest.mark.parametrize("command", TWELVE_ROWS)
+    def test_full_ranking_commands_count_later_choices(self, capsys, tmp_path, command):
+        code, out, err = invoke(capsys, command, raw_file(tmp_path, self.TWELVE), "--format", "csv")
+        assert (code, err) == (0, "")
+        assert set(self.TWELVE_ROWS[command]) <= set(out.splitlines()), out
 
     def test_one_truncated_ballot_is_counted_in_the_singular(self, capsys, tmp_path):
         path = raw_file(tmp_path, ["ABCD", ["B", "A", "WRITEIN:x", "-"]])
-        code, _, err = invoke(capsys, "irv", path)
-        assert code == 1
-        assert err.startswith("error: 1 ballot ranks a candidate after the second choice;")
+        code, _, err = invoke(capsys, "ingest", path)
+        assert code == 0
+        assert err == ("warning: 1 ballot ranks a candidate after the second choice; the "
+                       "first-and-second-choice profile drops those later choices\n")
 
     WARNING = ("warning: 3 ballots rank a candidate after the second choice; the "
                "first-and-second-choice profile drops those later choices\n")
@@ -225,12 +238,30 @@ class TestTruncatedRankings:
         assert invoke(capsys, "ingest", path, "--out", str(csv)) == (0, "", self.WARNING)
         assert csv.read_text() == out
 
-    def test_model_commands_warn_too(self, capsys, tmp_path):
+    def test_a_later_overvote_drops_no_choice(self, capsys, tmp_path):
+        path = tmp_path / "raw.json"
+        path.write_text(json.dumps({"candidates": list("ABCD"), "ballots": [
+            [["A"], ["B"], ["C", "D"]],  # the overvote ends the ranking at B
+            [["B"], ["A"], ["C"]],
+        ]}))
+        code, _, err = invoke(capsys, "ingest", str(path))
+        assert code == 0
+        assert err.startswith("warning: 1 ballot ranks")
+
+    def test_model_commands_do_not_warn(self, capsys, tmp_path):
         path = raw_file(tmp_path, self.TWELVE)
         code, out, err = invoke(capsys, "star", "threshold", path, "--guaranteed", "C",
                                 "--rival", "D", "--format", "csv")
-        assert (code, err) == (0, self.WARNING)
+        assert (code, err) == (0, "")
         assert out.startswith("item,value\nguaranteed,C\n")
+
+    def test_the_csv_keeps_two_choices(self, capsys, tmp_path):
+        """So ``irv`` of the raw CVR and of its CSV differ on the twelve ballots."""
+        csv = tmp_path / "profile.csv"
+        assert invoke(capsys, "ingest", raw_file(tmp_path, self.TWELVE), "--out", str(csv))[0] == 0
+        code, out, _ = invoke(capsys, "irv", str(csv), "--format", "csv")
+        assert code == 0
+        assert "3,A,5,5/9,5/12,0,3,9,winner" in out.splitlines()
 
     def test_complete_rankings_give_no_warning(self, capsys, tmp_path):
         path = raw_file(tmp_path, ["ABC", "BCA", "CAB", "C--"], "ABC")
@@ -551,6 +582,63 @@ class TestBeyondThreeCandidates:
         )
 
 
+def every_flag_parser() -> argparse.ArgumentParser:
+    """The command-line parser with every row of ``COMMANDS`` given its flags."""
+    parser = argparse.ArgumentParser(
+        prog="ballotlab",
+        description="Tabulate ranked-ballot profiles: instant runoff, head-to-head "
+                    "contests, and approval/STAR counterfactual models.",
+    )
+    parser.add_argument("--version", action="version", version=f"ballotlab {__version__}")
+    groups = {"": parser.add_subparsers(dest="command", required=True, metavar="command")}
+    for path, help_text, build, *flags in COMMANDS:
+        group, _, name = path.rpartition(" ")
+        p = groups[group].add_parser(name, help=help_text)
+        for names, kwargs in flags:
+            p.add_argument(*names, **kwargs)
+        if build is None:
+            groups[name] = p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
+    return parser
+
+
+class TestHelpAndUsage:
+    """``--help`` and every usage error read as they do with every command's flags built."""
+
+    USAGE_ERRORS = [
+        [], ["tallyho", "$F"], ["approval"], ["star", "nope", "$F"], ["irv"],
+        ["irv", "$F", "--format", "xml"], ["irv", "$F", "--bogus"], ["irv", "$F", "--p", "1"],
+        ["ingest", "$F", "--format", "csv"], ["pairwise", "$F", "--basis", "both"],
+        ["approval", "threshold", "$F"], ["approval", "threshold", "$F", "--riser", "A"],
+        ["approval", "sweep", "$F", "--grid", "0:1"], ["star", "sweep", "$F", "--grid", "0:1:x"],
+        ["approval", "eval", "$F", "--p-group", "foo"], ["star", "eval", "$F", "--s-group", "A=1"],
+        ["approval", "clinch", "$F", "--candidate", "A", "--group", "AB"], ["irv", "--version"],
+    ]
+
+    def _outcome(self, capsys, parse, argv):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    def _compare(self, capsys, monkeypatch, argv) -> int:
+        monkeypatch.setenv("COLUMNS", "80")
+        got = self._outcome(capsys, run, argv)
+        assert got == self._outcome(capsys, every_flag_parser().parse_args, argv)
+        return got[0]
+
+    @pytest.mark.parametrize("path", ["", *(row[0] for row in COMMANDS)])
+    def test_help(self, capsys, monkeypatch, path):
+        assert self._compare(capsys, monkeypatch, [*path.split(), "--help"]) == 0
+
+    def test_version(self, capsys, monkeypatch):
+        assert self._compare(capsys, monkeypatch, ["--version"]) == 0
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+    def test_usage_error(self, capsys, monkeypatch, fixture, argv):
+        assert self._compare(capsys, monkeypatch, [fixture if a == "$F" else a for a in argv]) == 2
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
     def test_repeated_runs_are_byte_identical(self, capsys, fixture, fmt):
@@ -769,6 +857,15 @@ class TestLazyModelModules:
         assert not {"approval.py", "condorcet.py", "irv.py", "star.py"} & set(result["after_import"])
         assert {f"ballotlab.{m}" for m in LAYERS} <= set(result["loaded"])
         assert not {"dataclasses.py", "inspect.py"} & set(result["imported"])
+
+    def test_cli_imports_neither_pathlib_nor_typing(self):
+        """Without site hooks, which may import them first, ``import ballotlab.cli`` loads neither."""
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys, ballotlab.cli; print(sorted({'pathlib', 'typing'} & set(sys.modules)))"],
+            env=_child_env(), capture_output=True, check=True, timeout=60,
+        )
+        assert proc.stdout == b"[]\n"
 
     def test_module_entry_point_matches_in_process_run(self, capsysbinary, alaska_csv):
         argv = ["irv", str(alaska_csv), "--format", "csv"]

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from ballotlab import (
     INCLUDE_TIES,
     RANKED_ONLY,
@@ -100,3 +102,8 @@ class TestCenterSqueeze:
         diag = detect_center_squeeze(profile)
         assert diag.condorcet_winner is None
         assert diag.squeezed is False
+
+
+def test_unknown_basis_is_named():
+    with pytest.raises(ValueError, match="^unknown basis 'both'$"):
+        pairwise_tallies(CondensedProfile(ABC, {"A": 1}, {}, {}), "both")

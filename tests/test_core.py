@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from ballotlab import (
@@ -151,6 +153,24 @@ class TestProfileValidation:
     def test_rejects_repeated_candidate_in_full(self):
         with pytest.raises(ValueError):
             CondensedProfile(ROSTER, {}, {("Palin", "Palin"): 1}, {})
+
+    @pytest.mark.parametrize("full, over2, message", [
+        ({("Palin", "Nobody"): 1}, {}, "full pattern ('Palin', 'Nobody') leaves the roster"),
+        ({("Palin",): 1}, {}, "full pattern ('Palin',) needs 2 to 2 distinct names"),
+        ({("Palin", "Begich", "Peltola"): 1}, {},
+         "full pattern ('Palin', 'Begich', 'Peltola') needs 2 to 2 distinct names"),
+        ({}, {frozenset(["Palin"]): 1}, "overvote pair ['Palin'] is invalid"),
+        ({}, {frozenset(["Palin", "Nobody"]): 1}, "overvote pair ['Nobody', 'Palin'] is invalid"),
+    ])
+    def test_invalid_pattern_is_named(self, full, over2, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CondensedProfile(ROSTER, {}, full, over2)
+
+    def test_a_ranking_names_at_most_all_but_one_candidate(self):
+        roster = ("A", "B", "C", "D")
+        assert CondensedProfile(roster, {}, {("A", "B", "C"): 1}, {}).full_count("A", "B") == 1
+        with pytest.raises(ValueError, match="needs 2 to 3 distinct names"):
+            CondensedProfile(roster, {}, {("A", "B", "C", "D"): 1}, {})
 
     def test_rejects_duplicate_roster_names(self):
         with pytest.raises(ValueError):

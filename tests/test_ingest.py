@@ -114,6 +114,35 @@ class TestParseRaw:
         assert capsys.readouterr() == ("", "error: raw document repeats field 'ballots'\n")
 
 
+class TestDocumentShapeErrors:
+    """Each shape error of a raw document, through both readers and the CLI."""
+
+    CASES = [
+        (b"[]", "raw document must be a JSON object"),
+        (b'{"candidates": ["A"]}', "raw document needs both 'candidates' and 'ballots'"),
+        (b'{"ballots": []}', "raw document needs both 'candidates' and 'ballots'"),
+        (b'{"candidates": "AB", "ballots": []}', "'candidates' must be an array of strings"),
+        (b'{"candidates": ["A", 1], "ballots": []}', "'candidates' must be an array of strings"),
+        (b'{"candidates": ["A", "B"], "ballots": {}}', "'ballots' must be an array"),
+        (b'{"candidates": ["A", "B"], "ballots": [[["A"]], "A"]}',
+         "ballot 1 must be an array of rank positions"),
+    ]
+
+    @pytest.mark.parametrize("data, message", CASES)
+    @pytest.mark.parametrize("read", [parse_raw, ingest_raw])
+    def test_library_reader(self, read, data, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            read(data)
+
+    @pytest.mark.parametrize("data, message", CASES)
+    def test_cli_exits_2_and_writes_nothing(self, capsys, tmp_path, data, message):
+        path, out = tmp_path / "raw.json", tmp_path / "out.csv"
+        path.write_bytes(data)
+        assert run(["ingest", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+
 class TestIngest:
     def test_small_document(self):
         doc = parse_raw(raw_doc([
@@ -425,7 +454,7 @@ class TestClassifyOncePerRosterOnlyGrid:
             return classify_ballot(ballot, roster)
 
         monkeypatch.setattr(sys.modules["ballotlab.ingest"], "classify_ballot", counting)
-        profile, truncated = ingest_raw(raw_doc([
+        profile = ingest_raw(raw_doc([
             [["C"], ["A"], []],
             [["A"], [], ["B"]],
             [["WRITEIN:x"], ["A"], ["B"]],
@@ -435,7 +464,6 @@ class TestClassifyOncePerRosterOnlyGrid:
         ]))
         assert profile == CondensedProfile(("A", "B", "C"), {"B": 1},
                                            {("A", "B"): 3, ("C", "A"): 2}, {})
-        assert truncated == 0
         assert grids == [(frozenset("C"), frozenset("A")), (frozenset("A"), frozenset("B")),
                          (frozenset("B"),)]
 

@@ -23,7 +23,6 @@ from ballotlab import (
     StarScenario,
     UnattainableError,
     approval_range,
-    classify_ballot,
     condense,
     condorcet_winner_loser,
     evaluate_approval,
@@ -49,12 +48,12 @@ from .oracles import (
     brute_star_scores,
     brute_top_choices,
     expand,
+    later_choice_ballots,
     per_ballot_ingest,
+    per_ballot_profile,
     per_point_sweep,
-    ranked_ballot,
     scan_star_threshold,
     scaled,
-    truncated_ballots,
     zero_profile,
 )
 from ballotlab.ingest import _RESERVED, ingest_raw
@@ -196,12 +195,7 @@ class TestRawIngest:
         one_pass = _outcome(lambda: ingest_raw(data))
         two_pass = _outcome(lambda: ingest(parse_raw(data)))
         # The two paths share their checks; the per-ballot reading shares none of them.
-        if isinstance(one_pass[0], CondensedProfile):
-            assert one_pass[0] == two_pass == per_ballot_ingest(doc)
-            ballots = [ranked_ballot(b) for b in doc["ballots"]]
-            assert one_pass[1] == truncated_ballots(ballots, tuple(doc["candidates"]))
-        else:
-            assert one_pass == two_pass == _outcome(lambda: per_ballot_ingest(doc))
+        assert one_pass == two_pass == _outcome(lambda: per_ballot_ingest(doc))
 
 
 @st.composite
@@ -232,18 +226,21 @@ def _result(compute):
 class TestHandBuiltIngest:
     @given(hand_built_documents())
     def test_matches_classifying_every_ballot(self, doc):
-        roster = doc.candidates
         assert _result(lambda: ingest(doc)) == _result(
-            lambda: condense([classify_ballot(b, roster) for b in doc.ballots], roster))
+            lambda: per_ballot_profile(doc.ballots, doc.candidates))
 
     @given(st.one_of(hand_built_documents(), hand_built_documents(deep=True)))
     def test_truncated_count_matches_per_ballot_reading(self, doc):
+        """The one pass keeps every ranking whole; the rankings of three or more
+        names are the ballots ``ingest`` warns about."""
         assume(not any("Z" in marks for ballot in doc.ballots for marks in ballot.ranks))
         data = json.dumps({"candidates": doc.candidates,
                            "ballots": [list(map(sorted, b.ranks)) for b in doc.ballots]})
         outcome = _result(lambda: ingest_raw(data.encode()))
-        if isinstance(outcome[0], CondensedProfile):
-            assert outcome[1] == truncated_ballots(doc.ballots, doc.candidates)
+        if isinstance(outcome, CondensedProfile):
+            assert outcome == per_ballot_profile(doc.ballots, doc.candidates)
+            later = sum(n for prefs, n in outcome.full.items() if len(prefs) > 2)
+            assert later == later_choice_ballots(doc.ballots, doc.candidates)
 
 
 class TestCondensedRoundTrips:

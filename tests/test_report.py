@@ -86,6 +86,16 @@ class TestEmitTable:
         assert b"hello" not in emit_table(report, JSON_LINES)
 
 
+class TestUnknownNames:
+    def test_column_kind(self):
+        with pytest.raises(ValueError, match="^unknown column kind 'ratio'$"):
+            Column("share", "ratio")
+
+    def test_output_format(self):
+        with pytest.raises(ValueError, match="^unknown output format 'xml'$"):
+            emit_table(small_report(), "xml")
+
+
 class TestRangePlotData:
     def test_approval_segments(self, alaska_profile):
         out = emit_range_plot_data(
