@@ -20,13 +20,7 @@ import sys as _sys
 
 from .core import (
     WRITE_IN_PREFIX,
-    BallotClass,
-    Blank,
-    Bullet,
     CondensedProfile,
-    Full,
-    OvervoteTopAll,
-    OvervoteTopTwo,
     RankedBallot,
     classify_ballot,
     condense,
@@ -115,12 +109,6 @@ __all__ = [
     "__version__",
     "WRITE_IN_PREFIX",
     "RankedBallot",
-    "Bullet",
-    "Full",
-    "OvervoteTopTwo",
-    "OvervoteTopAll",
-    "Blank",
-    "BallotClass",
     "CondensedProfile",
     "classify_ballot",
     "condense",

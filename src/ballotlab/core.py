@@ -2,14 +2,15 @@
 
 A ranked ballot carries less information than its rank grid suggests:
 once write-in marks are dropped and skipped rankings are compressed,
-every ballot collapses to a bullet vote, a ranking of two or more
-candidates (:func:`read_ranking`), a top-rank overvote, or a blank.  In a
-three-candidate race a ranking is a (first, second) pair with the third
-candidate implied last, so a :class:`CondensedProfile` stores 13
-integers; it is the input every tabulation in this package runs on.
+every ballot collapses to a profile key (:func:`classify_ballot`): its
+ranking's names, top first (one for a bullet vote), its top-rank
+overvote's set, or ``()`` for a blank.  In a three-candidate race a
+ranking is a (first, second) pair with the third candidate implied last,
+so a :class:`CondensedProfile` stores 13 integers; it is the input every
+tabulation in this package runs on.
 
-Every value type of the package is a :class:`Record`, a slotted class
-that compares, hashes and reprs by value and generates no code at import.
+Every other value type of the package is a :class:`Record`, a slotted
+class that compares, hashes and reprs by value and generates no code.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from operator import attrgetter
 from .errors import MalformedBallotError
 
 _set = object.__setattr__  # sets a field of an immutable record
+
+#: A ballot's preference pattern: its ranking, its top-rank overvote, or ``()``.
+ProfileKey = tuple[str, ...] | frozenset[str]
 
 #: Marks carrying this prefix denote write-in candidates.  Write-ins are
 #: dropped during classification; everything after the prefix is opaque.
@@ -72,7 +76,7 @@ class Record(metaclass=_RecordType):
     assigns to one is its default.  The constructor takes them by position
     or name, then calls ``__post_init__``, which may normalize them with
     ``object.__setattr__``.  Setting or deleting an attribute raises
-    :class:`AttributeError`.  Per-grid types define a faster ``__init__``.
+    :class:`AttributeError`.  :class:`RankedBallot` defines a faster ``__init__``.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -123,50 +127,6 @@ class RankedBallot(Record):
         _set(self, "ranks", ranks)
 
 
-class Bullet(Record):
-    """Ballot supporting a single candidate, no further preference."""
-
-    first: str
-
-    def __init__(self, first: str) -> None:
-        _set(self, "first", first)
-
-
-class Full(Record):
-    """Ballot ranking a first and a distinct second choice.
-
-    With three candidates the third preference is implied; with more, a
-    raw CVR's profile keeps the whole ranking (:func:`read_ranking`).
-    """
-
-    first: str
-    second: str
-
-    def __init__(self, first: str, second: str) -> None:
-        _set(self, "first", first)
-        _set(self, "second", second)
-
-
-class OvervoteTopTwo(Record):
-    """Ballot giving its highest ranking to exactly two candidates."""
-
-    pair: frozenset[str]
-
-    def __init__(self, pair: frozenset[str]) -> None:
-        _set(self, "pair", pair)
-
-
-class OvervoteTopAll(Record):
-    """Ballot giving its highest ranking to every roster candidate."""
-
-
-class Blank(Record):
-    """Ballot with no usable mark for any roster candidate."""
-
-
-BallotClass = Bullet | Full | OvervoteTopTwo | OvervoteTopAll | Blank
-
-
 @lru_cache
 def classification_roster(roster: tuple[str, ...]) -> frozenset[str]:
     """:func:`classify_ballot`'s validated roster, cached; a bad one raises every time."""
@@ -192,16 +152,16 @@ def read_ranking(ranks: Sequence[frozenset[str]], depth: int) -> tuple[str, ...]
     return tuple(order)
 
 
-def classify_ballot(ballot: RankedBallot, roster: Sequence[str]) -> BallotClass:
-    """Reduce a raw ballot to its preference pattern.
+def classify_ballot(ballot: RankedBallot, roster: Sequence[str]) -> ProfileKey:
+    """Reduce a raw ballot to its profile key.
 
     Normalization order: delete write-in marks, compress now-empty rank
-    positions, then read the leading ranks.  A top rank covering the
-    whole roster is an all-way overvote; exactly two marks is a top-two
-    overvote; a single mark fixes the first choice and :func:`read_ranking`
-    the second: a later duplicate of the first is ignored, and a second-rank
-    overvote yields a bullet (the voter expressed no usable preference among
-    the rest).  Each roster is validated once.
+    positions, then read the leading ranks.  No rank left is a blank, ``()``.
+    A top rank of two marks, or of the whole roster, is an overvote: its
+    mark set.  A single top mark starts the ranking, read once by
+    :func:`read_ranking` to max(2, N - 1) of the N candidates: a later
+    duplicate is ignored, and a later overvote ends the ranking, so one name
+    left is a bullet vote.  Each roster is validated once.
     """
     roster_set = classification_roster(tuple(roster))
     if len(ballot.ranks) > len(roster_set):
@@ -220,21 +180,17 @@ def classify_ballot(ballot: RankedBallot, roster: Sequence[str]) -> BallotClass:
             ranks.append(marks)
 
     if not ranks:
-        return Blank()
+        return ()
     top = ranks[0]
-    if len(top) >= 2 and top == roster_set:
-        return OvervoteTopAll()
-    if len(top) == 2:
-        return OvervoteTopTwo(pair=frozenset(top))
-    if len(top) > 2:
-        # Only reachable with rosters of 4+; the pattern vocabulary has
-        # no class for a partial overvote of 3 or more candidates.
-        raise MalformedBallotError(
-            f"top-rank overvote of {len(top)} marks covers neither two "
-            f"candidates nor the whole roster"
-        )
-    names = read_ranking(ranks, 2)
-    return Full(*names) if len(names) == 2 else Bullet(*names)
+    if len(top) == 1:
+        return read_ranking(ranks, max(2, len(roster_set) - 1))
+    if len(top) == 2 or top == roster_set:
+        return frozenset(top)
+    # A partial overvote of 3 or more marks, possible with 4+ candidates, has no key.
+    raise MalformedBallotError(
+        f"top-rank overvote of {len(top)} marks covers neither two "
+        f"candidates nor the whole roster"
+    )
 
 
 class CondensedProfile(Record):
@@ -385,34 +341,35 @@ class CondensedProfile(Record):
         return votes[a], votes[b]
 
 
-def condense(classified: Iterable[BallotClass], roster: Sequence[str]) -> CondensedProfile:
-    """Count classified ballots into a condensed profile."""
-    return condense_weighted(((cls, 1) for cls in classified), roster)
+def condense(keys: Iterable[ProfileKey], roster: Sequence[str]) -> CondensedProfile:
+    """Count :func:`classify_ballot` keys, one per ballot, into a condensed profile."""
+    return condense_weighted(((key, 1) for key in keys), roster)
 
 
 def condense_weighted(
-    weighted: Iterable[tuple[BallotClass, int]], roster: Sequence[str]
+    weighted: Iterable[tuple[ProfileKey, int]], roster: Sequence[str]
 ) -> CondensedProfile:
-    """Count ``(ballot class or whole ranking, number of ballots)`` pairs into a profile."""
+    """Count ``(profile key, number of ballots)`` pairs into a profile; a
+    value of another type raises :class:`TypeError`."""
+    everyone = frozenset(validate_roster(roster))
     bullet: dict[str, int] = {}
     full: dict[tuple[str, ...], int] = {}
     over2: dict[frozenset[str], int] = {}
     over3 = 0
     blank = 0
-    for cls, n in weighted:
-        match cls:
-            case Bullet(first=c):
-                bullet[c] = bullet.get(c, 0) + n
-            case Full(first=f, second=s):
-                full[(f, s)] = full.get((f, s), 0) + n
-            case tuple():
-                full[cls] = full.get(cls, 0) + n
-            case OvervoteTopTwo(pair=p):
-                over2[p] = over2.get(p, 0) + n
-            case OvervoteTopAll():
-                over3 += n
-            case Blank():
+    for key, n in weighted:
+        if isinstance(key, tuple):
+            if len(key) > 1:
+                full[key] = full.get(key, 0) + n
+            elif key:
+                bullet[key[0]] = bullet.get(key[0], 0) + n
+            else:
                 blank += n
-            case _:
-                raise TypeError(f"not a ballot class: {cls!r}")
+        elif isinstance(key, frozenset):
+            if key == everyone:
+                over3 += n
+            else:
+                over2[key] = over2.get(key, 0) + n
+        else:
+            raise TypeError(f"not a profile key: {key!r}")
     return CondensedProfile(tuple(roster), bullet, full, over2, over3, blank)

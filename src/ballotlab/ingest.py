@@ -31,14 +31,12 @@ from functools import wraps
 
 from .core import (
     CondensedProfile,
-    Full,
     RankedBallot,
     Record,
     classification_roster,
     classify_ballot,
     condense_weighted,
     is_write_in,
-    read_ranking,
     validate_roster,
 )
 from .errors import ParseError
@@ -209,10 +207,10 @@ def _check_rank(i: int, j: int, raw_rank: object, roster_set: frozenset[str]) ->
 
 
 def ingest(doc: RawCvrDocument) -> CondensedProfile:
-    """Condense a raw CVR, keeping each ranking whole, unlike :func:`condense`
-    of each ballot's class.  ``classify_ballot`` runs once per distinct
-    roster-only grid (write-ins dropped, empty ranks removed), in order of
-    first appearance, so an error is the first offending ballot's."""
+    """Condense a raw CVR as :func:`condense` of each ballot's profile key would.
+    ``classify_ballot`` runs once per distinct roster-only grid (write-ins dropped,
+    empty ranks removed), in order of first appearance, so an error is the first
+    offending ballot's."""
     roster_set = classification_roster(tuple(doc.candidates)) if doc.ballots else frozenset()
     reduced = _WithoutWriteIns(roster_set)
     ballots = dict(zip(map(id, doc.ballots), doc.ballots))
@@ -236,19 +234,16 @@ class _WithoutWriteIns(dict):
 def _tally(weighted, roster: tuple[str, ...]) -> CondensedProfile:
     """Profile of ``(grid, ballots)`` pairs, a grid possibly in several.  Empty
     ranks are dropped, except from a grid of more ranks than the roster, which
-    ``classify_ballot`` rejects; it runs once per distinct result, in order of
-    first appearance.  A :class:`Full` grid counts under its whole ranking,
-    read once by :func:`read_ranking`."""
-    depth = max(2, len(roster) - 1)
-    classes, weights = {}, {}  # roster-only grid -> its class or ranking, its number of ballots
+    ``classify_ballot`` rejects; it reads each distinct result's profile key
+    once, in order of first appearance."""
+    keys, weights = {}, {}  # roster-only grid -> its profile key, its number of ballots
     for grid, n in weighted:
         if len(grid) <= len(roster):
             grid = tuple(filter(None, grid))
-        if grid not in classes:
-            cls = classify_ballot(RankedBallot(grid), roster)
-            classes[grid] = read_ranking(grid, depth) if cls.__class__ is Full else cls
+        if grid not in keys:
+            keys[grid] = classify_ballot(RankedBallot(grid), roster)
         weights[grid] = weights.get(grid, 0) + n
-    return condense_weighted(((classes[g], n) for g, n in weights.items()), roster)
+    return condense_weighted(((keys[g], n) for g, n in weights.items()), roster)
 
 
 def _check_name(name: str) -> str:

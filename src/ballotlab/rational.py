@@ -7,23 +7,31 @@ arithmetic with round-half-up, so rendered output never drifts.
 
 from __future__ import annotations
 
+from decimal import Decimal  # already loaded by ``fractions``
 from fractions import Fraction
+
+#: ``int()``'s default digit limit, which bounds every other number read, also
+#: bounds a decimal exponent: ``Fraction("1e-30000000")`` builds ``10**30000000``.
+MAX_EXPONENT = 4300
 
 
 def exact_rational(value, what: str) -> Fraction:
     """Convert to an exact Fraction, refusing binary floats outright.
 
-    Accepts ints, Fractions, Decimals, and strings such as ``"0.35"``
-    or ``"21738/62291"``.
+    Accepts ints, Fractions, Decimals, and strings such as ``"0.35"`` or
+    ``"21738/62291"``, refusing a decimal exponent past ±``MAX_EXPONENT``.
     """
     if isinstance(value, float):
         raise ValueError(
             f"{what} must be exact (int, string, or Fraction), not a binary float"
         )
+    written = str(value).lower() if isinstance(value, (str, Decimal)) else ""
     try:
-        return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        if abs(int(written.partition("e")[2] or 0)) <= MAX_EXPONENT:  # the decimal exponent
+            return Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"{what} is not a rational number: {value!r}") from exc
+    raise ValueError(f"{what} has a decimal exponent outside ±{MAX_EXPONENT}: {value!r}")
 
 
 def bounded_rational(value, lo: Fraction, hi: Fraction, what: str) -> Fraction:

@@ -9,20 +9,14 @@ plain tuple:
 """
 
 import random
-from collections import Counter
 from fractions import Fraction
 
 from ballotlab import (
-    Blank,
-    Bullet,
     CondensedProfile,
     DecisiveTieError,
-    Full,
     IrvOutcome,
     IrvRound,
     NoValidBallotsError,
-    OvervoteTopAll,
-    OvervoteTopTwo,
     ParseError,
     RankedBallot,
     classify_ballot,
@@ -57,11 +51,10 @@ def expand_ballots(profile: CondensedProfile) -> list[tuple]:
 
 
 def expand(profile: CondensedProfile) -> list:
-    """One pattern instance per counted ballot, blanks last, roster order."""
-    make = {"bullet": Bullet, "full": Full, "over3": OvervoteTopAll,
-            "over2": lambda a, b: OvervoteTopTwo(frozenset((a, b)))}
-    patterns = [make[kind](*names) for kind, *names in expand_ballots(profile)]
-    return patterns + [Blank()] * profile.blank_count
+    """One profile key per counted ballot, blanks last, roster order."""
+    keys = [tuple(names) if kind in ("bullet", "full") else frozenset(names or profile.candidates)
+            for kind, *names in expand_ballots(profile)]
+    return keys + [()] * profile.blank_count
 
 
 def scaled(profile: CondensedProfile, factor: int) -> CondensedProfile:
@@ -386,13 +379,9 @@ def per_ballot_profile(ballots, roster) -> CondensedProfile:
     """Classify each :class:`RankedBallot` on its own, raising as
     :func:`classify_ballot` does, and count each ballot with one first
     choice under its :func:`whole_ranking`."""
-    classes = [classify_ballot(b, roster) for b in ballots]
-    rest = condense([c for c in classes if not isinstance(c, (Bullet, Full))], roster)
-    rankings = Counter(whole_ranking(b.ranks, roster) for b, c in zip(ballots, classes)
-                       if isinstance(c, (Bullet, Full)))
-    return CondensedProfile(rest.candidates, {r[0]: n for r, n in rankings.items() if len(r) == 1},
-                            {r: n for r, n in rankings.items() if len(r) > 1},
-                            rest.over2, rest.over3, rest.blank_count)
+    keys = [classify_ballot(b, roster) for b in ballots]
+    return condense([whole_ranking(b.ranks, roster) if key and isinstance(key, tuple) else key
+                     for b, key in zip(ballots, keys)], roster)
 
 
 def per_ballot_ingest(doc: dict) -> CondensedProfile:

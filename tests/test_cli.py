@@ -837,6 +837,27 @@ def _audit(*argv: str) -> dict:
     return json.loads(proc.stdout)
 
 
+class TestHugeExponents:
+    """``Fraction("1e-30000000")`` builds ``10**30000000``: minutes of CPU.  Each
+    flag refuses such a value at once; the timeout fails a regression fast."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["approval", "eval", "--p", "1e-30000000"], "--p"),
+        (["approval", "eval", "--p-group", "Begich>Palin=1e30000000"], "--p-group"),
+        (["star", "eval", "--s", "1E-30000000"], "--s"),
+        (["star", "eval", "--s-group", "Palin>Begich=2e-30000000"], "--s-group"),
+        (["approval", "sweep", "--grid", "0:1e-3000000:1e-3000000"],
+         "argument --grid: grid value"),
+    ])
+    def test_flag_value_is_refused_promptly(self, alaska_csv, argv, flag):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ballotlab", *argv[:2], str(alaska_csv), *argv[2:]],
+            env=_child_env(), capture_output=True, timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert f"error: {flag} has a decimal exponent outside ±4300: ".encode() in proc.stderr
+
+
 class TestLazyModelModules:
     @pytest.mark.parametrize("command, flags, absent", [
         ("irv", [],

@@ -3,13 +3,8 @@ import re
 import pytest
 
 from ballotlab import (
-    Blank,
-    Bullet,
     CondensedProfile,
-    Full,
     MalformedBallotError,
-    OvervoteTopAll,
-    OvervoteTopTwo,
     classify_ballot,
     condense,
 )
@@ -26,51 +21,51 @@ def ballot(*ranks):
 class TestClassifyBallot:
     def test_complete_ranking(self):
         b = ballot(["Begich"], ["Palin"], ["Peltola"])
-        assert classify_ballot(b, ROSTER) == Full("Begich", "Palin")
+        assert classify_ballot(b, ROSTER) == ("Begich", "Palin")
 
     def test_top_two_overvote(self):
         b = ballot(["Begich", "Palin"], [], [])
-        assert classify_ballot(b, ROSTER) == OvervoteTopTwo(frozenset(("Begich", "Palin")))
+        assert classify_ballot(b, ROSTER) == frozenset(("Begich", "Palin"))
 
     def test_skipped_rank_is_compressed(self):
         b = ballot(["Begich"], [], ["Peltola"])
-        assert classify_ballot(b, ROSTER) == Full("Begich", "Peltola")
+        assert classify_ballot(b, ROSTER) == ("Begich", "Peltola")
 
     def test_write_in_marks_are_ignored(self):
         b = ballot(["WRITEIN:somebody"], ["Palin"], [])
-        assert classify_ballot(b, ROSTER) == Bullet("Palin")
+        assert classify_ballot(b, ROSTER) == ("Palin",)
 
     def test_all_way_overvote(self):
         b = ballot(["Begich", "Palin", "Peltola"], [], [])
-        assert classify_ballot(b, ROSTER) == OvervoteTopAll()
+        assert classify_ballot(b, ROSTER) == frozenset(ROSTER)
 
     def test_bullet(self):
         b = ballot(["Peltola"], [], [])
-        assert classify_ballot(b, ROSTER) == Bullet("Peltola")
+        assert classify_ballot(b, ROSTER) == ("Peltola",)
 
     def test_blank(self):
-        assert classify_ballot(ballot([], [], []), ROSTER) == Blank()
+        assert classify_ballot(ballot([], [], []), ROSTER) == ()
 
     def test_write_in_only_ballot_is_blank(self):
         b = ballot(["WRITEIN:x"], ["WRITEIN:y"], [])
-        assert classify_ballot(b, ROSTER) == Blank()
+        assert classify_ballot(b, ROSTER) == ()
 
     def test_second_rank_overvote_collapses_to_bullet(self):
         # No usable preference among the remaining candidates.
         b = ballot(["Begich"], ["Palin", "Peltola"], [])
-        assert classify_ballot(b, ROSTER) == Bullet("Begich")
+        assert classify_ballot(b, ROSTER) == ("Begich",)
 
     def test_duplicate_of_first_choice_is_ignored(self):
         b = ballot(["Begich"], ["Begich"], ["Palin"])
-        assert classify_ballot(b, ROSTER) == Full("Begich", "Palin")
+        assert classify_ballot(b, ROSTER) == ("Begich", "Palin")
 
     def test_duplicate_inside_second_rank_is_ignored(self):
         b = ballot(["Begich"], ["Begich", "Palin"], [])
-        assert classify_ballot(b, ROSTER) == Full("Begich", "Palin")
+        assert classify_ballot(b, ROSTER) == ("Begich", "Palin")
 
     def test_two_candidate_roster_full_overvote_is_all(self):
         b = ballot(["A", "B"], [])
-        assert classify_ballot(b, ("A", "B")) == OvervoteTopAll()
+        assert classify_ballot(b, ("A", "B")) == frozenset(("A", "B"))
 
     def test_too_many_rank_positions(self):
         b = ballot(["Begich"], [], [], [])
@@ -106,13 +101,13 @@ class TestClassifyBallot:
         b = ballot([" A"], ["B"])
         with pytest.raises(MalformedBallotError, match="' A' names no roster candidate"):
             classify_ballot(b, (" A", "B"))
-        assert classify_ballot(ballot(["A"], ["B"]), (" A", "B")) == Full("A", "B")
+        assert classify_ballot(ballot(["A"], ["B"]), (" A", "B")) == ("A", "B")
 
 
 class TestCondense:
     def test_counts_patterns(self):
-        classes = [Bullet("Begich"), Bullet("Begich"), Full("Begich", "Palin")]
-        profile = condense(classes, ROSTER)
+        keys = [("Begich",), ("Begich",), ("Begich", "Palin")]
+        profile = condense(keys, ROSTER)
         assert profile.bullet_count("Begich") == 2
         assert profile.full_count("Begich", "Palin") == 1
         assert profile.total_valid_ranked == 3
@@ -122,23 +117,34 @@ class TestCondense:
         assert condense([], ROSTER) == zero_profile(ROSTER)
 
     def test_preserves_cardinality(self):
-        classes = [
-            Bullet("Palin"),
-            Full("Palin", "Peltola"),
-            OvervoteTopTwo(frozenset(("Begich", "Peltola"))),
-            OvervoteTopAll(),
-            Blank(),
+        keys = [
+            ("Palin",),
+            ("Palin", "Peltola"),
+            frozenset(("Begich", "Peltola")),
+            frozenset(ROSTER),
+            (),
         ]
-        profile = condense(classes, ROSTER)
+        profile = condense(keys, ROSTER)
         total = (
             profile.total_valid_ranked
             + profile.total_overvotes
             + profile.blank_count
         )
-        assert total == len(classes)
+        assert total == len(keys)
 
     def test_round_trip_through_expand(self, alaska_profile):
         assert condense(expand(alaska_profile), ROSTER) == alaska_profile
+
+    @pytest.mark.parametrize("key", [frozenset(("Begich", "Palin", "Nobody")),
+                                     frozenset(("Begich",))])
+    def test_overvote_key_is_two_names_or_the_whole_roster(self, key):
+        with pytest.raises(ValueError, match="overvote pair"):
+            condense([key], ROSTER)
+
+    @pytest.mark.parametrize("key", ["Begich", ["Begich", "Palin"], {"Begich"}, None])
+    def test_rejects_what_is_not_a_profile_key(self, key):
+        with pytest.raises(TypeError, match="not a profile key"):
+            condense([("Palin",), key], ROSTER)
 
 
 class TestProfileValidation:

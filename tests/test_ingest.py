@@ -8,7 +8,6 @@ import pytest
 
 from ballotlab import (
     CondensedProfile,
-    Full,
     MalformedBallotError,
     ParseError,
     RawCvrDocument,
@@ -434,17 +433,17 @@ class TestClassifyOncePerRosterOnlyGrid:
         assert grids == [(frozenset("A"), frozenset("B"))]
 
     def test_each_distinct_pattern_is_classified_in_order_of_first_appearance(self, monkeypatch):
-        classes = []
+        keys = []
 
         def recording(ballot, roster):
-            classes.append(classify_ballot(ballot, roster))
-            return classes[-1]
+            keys.append(classify_ballot(ballot, roster))
+            return keys[-1]
 
         monkeypatch.setattr(sys.modules["ballotlab.ingest"], "classify_ballot", recording)
         ingest(parse_raw(raw_doc([
             [["C"], ["A"], []], [["A"], ["B"], []], [["C"], ["WRITEIN:q"], ["A"]], [["A"], [], ["B"]],
         ])))
-        assert classes == [Full("C", "A"), Full("A", "B")]
+        assert keys == [("C", "A"), ("A", "B")]
 
     def test_one_pass_counts_each_ballot_under_its_roster_only_grid(self, monkeypatch):
         grids = []

@@ -5,6 +5,7 @@ import importlib
 import pickle
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -58,17 +59,10 @@ A, B = frozenset({"A"}), frozenset({"B"})
 ROUND = (1, {"A": 2}, 2, {}, 0, None)
 
 # (type, field names, positional values, exact repr, hashable).  One case
-# per record type, plus a second value for the pattern types.
+# per record type.
 RECORDS = [
     ("RankedBallot", ("ranks",), ((A, frozenset()),),
      "RankedBallot(ranks=(frozenset({'A'}), frozenset()))", True),
-    ("Bullet", ("first",), ("A",), "Bullet(first='A')", True),
-    ("Bullet", ("first",), ("B",), "Bullet(first='B')", True),
-    ("Full", ("first", "second"), ("A", "B"), "Full(first='A', second='B')", True),
-    ("Full", ("first", "second"), ("B", "A"), "Full(first='B', second='A')", True),
-    ("OvervoteTopTwo", ("pair",), (A,), "OvervoteTopTwo(pair=frozenset({'A'}))", True),
-    ("OvervoteTopAll", (), (), "OvervoteTopAll()", True),
-    ("Blank", (), (), "Blank()", True),
     ("CondensedProfile", ("candidates", "bullet", "full", "over2", "over3", "blank_count"),
      (("A", "B"), {"A": 1}, {("B", "A"): 2}, {}, 3, 4),
      "CondensedProfile(candidates=('A', 'B'), bullet={'A': 1}, full={('B', 'A'): 2}, "
@@ -175,10 +169,14 @@ class TestRecordValues:
 
 
 def test_all_way_overvote_and_blank_stay_separate_counter_keys():
-    counts = Counter([ballotlab.OvervoteTopAll(), ballotlab.Blank(), ballotlab.Blank()])
-    assert ballotlab.OvervoteTopAll() != ballotlab.Blank()
-    assert counts == {ballotlab.OvervoteTopAll(): 1, ballotlab.Blank(): 2}
-    assert len(counts) == 2
+    roster = ("A", "B", "C")
+    over3 = ballotlab.classify_ballot(ballotlab.RankedBallot((frozenset(roster),)), roster)
+    blank = ballotlab.classify_ballot(ballotlab.RankedBallot((frozenset(),)), roster)
+    counts = Counter([over3, blank, blank])
+    assert over3 != blank
+    assert counts == {frozenset(roster): 1, (): 2}
+    profile = ballotlab.condense(counts.elements(), roster)
+    assert (profile.over3, profile.blank_count) == (1, 2)
 
 
 def test_record_defaults():
@@ -196,14 +194,45 @@ def test_record_defaults():
 def test_records_match_positionally():
     profile = ballotlab.CondensedProfile(("A", "B"), {"A": 1}, {}, {})
     matched = []
-    for record in (ballotlab.Full("A", "B"), ballotlab.Bullet("A"), ballotlab.Blank(), profile):
+    for record in (ballotlab.RankedBallot((A, B)), report.Column("n"), profile):
         match record:
-            case ballotlab.Full(first, second):
-                matched.append((first, second))
-            case ballotlab.Bullet(first):
-                matched.append(first)
+            case ballotlab.RankedBallot(ranks):
+                matched.append(ranks)
             case ballotlab.CondensedProfile(candidates, bullet, _, _, over3):
                 matched.append((candidates, bullet, over3))
-            case ballotlab.Blank():
-                matched.append("blank")
-    assert matched == [("A", "B"), "A", "blank", (("A", "B"), {"A": 1}, 0)]
+            case report.Column(name, kind):
+                matched.append((name, kind))
+    assert matched == [(A, B), ("n", "text"), (("A", "B"), {"A": 1}, 0)]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# A line of the README's Library block -> the value its comment states, and a check of it.
+STATED = {
+    "bl.condorcet_winner_loser(tally)": (
+        'winner="Begich", loser="Palin"', lambda r: (r.winner, r.loser) == ("Begich", "Palin")),
+    "bl.detect_center_squeeze(profile)": (
+        "squeezed=True, eliminated in round 1",
+        lambda s: s.squeezed and s.condorcet_winner_eliminated_in_round == 1),
+    'bl.uniform_threshold(profile, "Begich", "Peltola")': (
+        "Fraction(21738, 62291)", lambda t: t == Fraction(21738, 62291)),
+    'bl.uniform_star_threshold(profile, "Begich", "Palin")': (
+        "1.87 stars", lambda t: t.stars == Fraction(187, 100)),
+    "bl.classify_ballot(ballot, profile.candidates)": (
+        '("Begich", "Peltola")', lambda key: key == ("Begich", "Peltola")),
+}
+
+
+def test_readme_library_block_states_true_values(monkeypatch):
+    block = README.read_text(encoding="utf-8").split("## Library\n", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(README.parent)
+    namespace: dict[str, object] = {}
+    exec(block, namespace)
+    checked = {}
+    for line in block.splitlines():
+        code, _, comment = (part.strip() for part in line.partition("#"))
+        if code in STATED:
+            stated, holds = STATED[code]
+            checked[code] = comment == stated and holds(eval(code, namespace))
+    assert checked == dict.fromkeys(STATED, True)

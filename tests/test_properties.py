@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from ballotlab import (
@@ -23,6 +23,7 @@ from ballotlab import (
     StarScenario,
     UnattainableError,
     approval_range,
+    classify_ballot,
     condense,
     condorcet_winner_loser,
     evaluate_approval,
@@ -54,6 +55,7 @@ from .oracles import (
     per_point_sweep,
     scan_star_threshold,
     scaled,
+    whole_ranking,
     zero_profile,
 )
 from ballotlab.ingest import _RESERVED, ingest_raw
@@ -241,6 +243,39 @@ class TestHandBuiltIngest:
             assert outcome == per_ballot_profile(doc.ballots, doc.candidates)
             later = sum(n for prefs, n in outcome.full.items() if len(prefs) > 2)
             assert later == later_choice_ballots(doc.ballots, doc.candidates)
+
+
+@st.composite
+def hand_built_ballots(draw):
+    """A roster of 2-6 and one ballot on it, up to one rank per candidate:
+    write-ins, skipped ranks, repeats, and overvotes of two, three or every
+    candidate at any rank."""
+    roster = tuple("ABCDEF"[:draw(st.integers(2, 6))])
+    one = st.sampled_from(roster).map(lambda name: frozenset({name}))
+    other = st.one_of(st.frozensets(st.sampled_from(roster + WRITE_INS), max_size=3),
+                      st.frozensets(st.sampled_from(roster), min_size=2),
+                      st.just(frozenset(roster)))
+    rank = st.one_of(one, other)  # half the ranks name one candidate
+    positions = draw(st.integers(0, len(roster)))
+    return roster, RankedBallot(tuple(draw(st.lists(rank, min_size=positions, max_size=positions))))
+
+
+class TestProfileKeys:
+    @given(hand_built_ballots())
+    @example((tuple("ABCD"), RankedBallot((frozenset("A"), frozenset("AB"), frozenset("C")))))
+    @example((tuple("ABCD"), RankedBallot((frozenset(), frozenset("ABC")))))
+    def test_key_matches_per_ballot_reading(self, case):
+        """A one-mark top keys the whole ranking, a top of two or of every
+        candidate its set, no mark ``()``; any other top is refused."""
+        roster, ballot = case
+        tops = (marks & set(roster) for marks in ballot.ranks)
+        top = next(filter(None, tops), frozenset())
+        if len(top) > 2 and top != set(roster):
+            with pytest.raises(MalformedBallotError, match="covers neither two"):
+                classify_ballot(ballot, roster)
+            return
+        expected = whole_ranking(ballot.ranks, roster) if len(top) == 1 else top or ()
+        assert classify_ballot(ballot, roster) == expected
 
 
 class TestCondensedRoundTrips:

@@ -1,8 +1,16 @@
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from ballotlab.rational import decimal_string, fraction_token, percent_string
+from ballotlab.rational import (
+    MAX_EXPONENT,
+    decimal_string,
+    exact_rational,
+    fraction_token,
+    percent_string,
+)
 from ballotlab.report import (
     CSV,
     JSON_LINES,
@@ -34,6 +42,24 @@ class TestDecimalRendering:
         assert fraction_token(Fraction(3, 2)) == "3/2"
         assert fraction_token(Fraction(4, 2)) == "2"
         assert fraction_token(7) == "7"
+
+
+class TestExactRational:
+    @pytest.mark.parametrize("value", [Decimal("NaN"), Decimal("Infinity"), Decimal("-Infinity")])
+    def test_non_finite_decimal_is_not_rational(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"x is not a rational number: {value!r}")):
+            exact_rational(value, "x")
+
+    @pytest.mark.parametrize("value", [
+        "1e-30000000", " 1E+4301 ", "-2.5e4301", Decimal("1e-30000000"), Decimal("1e4301"),
+    ])
+    def test_exponent_past_the_bound_is_refused_before_converting(self, value):
+        with pytest.raises(ValueError, match="^x has a decimal exponent outside ±4300: "):
+            exact_rational(value, "x")
+
+    @pytest.mark.parametrize("value", [f"1e-{MAX_EXPONENT}", Decimal(f"1e-{MAX_EXPONENT}")])
+    def test_exponent_at_the_bound_converts(self, value):
+        assert exact_rational(value, "x") == Fraction(1, 10**MAX_EXPONENT)
 
 
 def small_report() -> Report:
