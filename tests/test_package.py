@@ -58,11 +58,30 @@ def test_unknown_attribute_raises_attribute_error():
 A, B = frozenset({"A"}), frozenset({"B"})
 ROUND = (1, {"A": 2}, 2, {}, 0, None)
 
+KEY_ROSTER = ("A", "B", "C")
+KEY_ARGS = ("ballot", "roster")
+
+
+def _ballot(*ranks: str) -> tuple[ballotlab.RankedBallot, tuple[str, ...]]:
+    """classify_ballot's arguments for a ballot whose ranks hold these one-letter names."""
+    return ballotlab.RankedBallot(tuple(map(frozenset, ranks))), KEY_ROSTER
+
+
 # (type, field names, positional values, exact repr, hashable).  One case
-# per record type.
+# per record type.  The profile key that classify_ballot returns for each
+# kind of ballot (a plain tuple or frozenset) is a Counter key of the
+# profile, so it is held to the same value semantics: one case per kind,
+# plus a second ranking for bullets and full rankings.
 RECORDS = [
     ("RankedBallot", ("ranks",), ((A, frozenset()),),
      "RankedBallot(ranks=(frozenset({'A'}), frozenset()))", True),
+    ("Bullet", KEY_ARGS, _ballot("A"), "('A',)", True),
+    ("Bullet", KEY_ARGS, _ballot("B"), "('B',)", True),
+    ("Full", KEY_ARGS, _ballot("A", "B"), "('A', 'B')", True),
+    ("Full", KEY_ARGS, _ballot("B", "A"), "('B', 'A')", True),
+    ("OvervoteTopTwo", KEY_ARGS, _ballot("AB"), "frozenset({'A', 'B'})", True),
+    ("OvervoteTopAll", KEY_ARGS, _ballot("ABC"), "frozenset({'A', 'B', 'C'})", True),
+    ("Blank", KEY_ARGS, _ballot(""), "()", True),
     ("CondensedProfile", ("candidates", "bullet", "full", "over2", "over3", "blank_count"),
      (("A", "B"), {"A": 1}, {("B", "A"): 2}, {}, 3, 4),
      "CondensedProfile(candidates=('A', 'B'), bullet={'A': 1}, full={('B', 'A'): 2}, "
@@ -111,11 +130,20 @@ RECORDS = [
     ("StarThreshold", ("stars", "achieved_score", "rival_maximum"), (Fraction(3, 2), 7, 6),
      "StarThreshold(stars=Fraction(3, 2), achieved_score=7, rival_maximum=6)", True),
 ]
-RECORD_TYPES = {"Report": report.Report, "Column": report.Column, "Cell": report.Cell}
+KEY_KINDS = ("Bullet", "Full", "OvervoteTopTwo", "OvervoteTopAll", "Blank")
+RECORD_TYPES = {"Report": report.Report, "Column": report.Column, "Cell": report.Cell,
+                **dict.fromkeys(KEY_KINDS, ballotlab.classify_ballot)}
 
 
 def _record_type(name: str) -> type:
     return RECORD_TYPES.get(name) or getattr(ballotlab, name)
+
+
+def _repr(value: object) -> str:
+    """The repr, with a frozenset's members sorted: their order follows string hashing."""
+    if isinstance(value, frozenset):
+        return f"frozenset({{{', '.join(map(repr, sorted(value)))}}})"
+    return repr(value)
 
 
 @pytest.mark.parametrize("name, fields, values, text, hashable", RECORDS,
@@ -126,13 +154,16 @@ class TestRecordValues:
         cls = _record_type(name)
         record = cls(*values)
         assert record == cls(**dict(zip(fields, values)))
+        if name in KEY_KINDS:
+            assert type(record) is (frozenset if name.startswith("Overvote") else tuple)
+            return
         assert record is not cls(*values)
         assert cls.__match_args__ == fields
         assert tuple(getattr(record, f) for f in fields) == tuple(
             getattr(cls(*values), f) for f in fields)
 
     def test_repr_is_exact(self, name, fields, values, text, hashable):
-        assert repr(_record_type(name)(*values)) == text
+        assert _repr(_record_type(name)(*values)) == text
 
     def test_hash_by_value(self, name, fields, values, text, hashable):
         cls = _record_type(name)
@@ -152,7 +183,7 @@ class TestRecordValues:
         for attr in (*fields, "extra"):
             with pytest.raises(AttributeError):
                 setattr(record, attr, None)
-        assert repr(record) == text
+        assert _repr(record) == text
 
     def test_copy_and_pickle_keep_the_value(self, name, fields, values, text, hashable):
         record = _record_type(name)(*values)
