@@ -6,11 +6,12 @@ computes head-to-head Condorcet results, and evaluates parameterized
 approval- and STAR-voting counterfactual models in exact rational
 arithmetic.
 
-The model modules (``irv``, ``condorcet``, ``approval``, ``star``) are
-registered in ``sys.modules`` at import but execute on first attribute
-access, so a command-line process runs only the model it needs.  Their
-public names are served from here on demand and behave exactly like
-eager re-exports.
+The raw-CVR reader (``ingest``) and the model modules (``irv``,
+``condorcet``, ``approval``, ``star``) are registered in ``sys.modules`` at
+import but execute on first attribute access, so a command-line process
+runs only the reader and model it needs.  Their public names are served
+from here on demand and behave exactly like eager re-exports;
+``ballotlab.ingest`` is the function, not the module.
 """
 
 __version__ = "1.0.0"
@@ -25,6 +26,7 @@ from .core import (
     classify_ballot,
     condense,
 )
+from .condensed import parse_condensed, write_condensed
 from .errors import (
     DecisiveTieError,
     MalformedBallotError,
@@ -32,15 +34,9 @@ from .errors import (
     ParseError,
     UnattainableError,
 )
-from .ingest import (
-    RawCvrDocument,
-    ingest,
-    parse_condensed,
-    parse_raw,
-    write_condensed,
-)
 
 _LAZY_EXPORTS = {
+    "ingest": ("RawCvrDocument", "parse_raw", "ingest"),
     "irv": ("IrvOutcome", "IrvRound", "RoundShares", "irv_percentages", "tabulate_irv"),
     "condorcet": (
         "INCLUDE_TIES",
@@ -87,6 +83,7 @@ def _register_lazy(name: str):
     return module
 
 
+_ingest_module = _register_lazy("ingest")  # ``ballotlab.ingest`` is the function
 irv = _register_lazy("irv")
 condorcet = _register_lazy("condorcet")
 approval = _register_lazy("approval")
@@ -98,7 +95,7 @@ def __getattr__(name: str):
         module = _DEFINED_IN[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    return getattr(globals()[module], name)
+    return getattr(_sys.modules[f"{__name__}.{module}"], name)
 
 
 def __dir__() -> list[str]:
@@ -112,9 +109,6 @@ __all__ = [
     "CondensedProfile",
     "classify_ballot",
     "condense",
-    "RawCvrDocument",
-    "parse_raw",
-    "ingest",
     "parse_condensed",
     "write_condensed",
     *_DEFINED_IN,

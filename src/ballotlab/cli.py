@@ -12,12 +12,13 @@ raw CVR's profile keeps every ranked choice; only ``ingest``, whose CSV
 keeps two, warns when it drops later ones.
 
 Each command is one row of :data:`COMMANDS`: path, help text, builder
-and flags, added only for the command being run.  :func:`run` loads the
-profile, calls the builder and renders the :class:`Report` it returns
-(``ingest`` and ``--plot-data`` return bytes).  The model modules are
-imported lazily (see the package docstring), so a command executes only
-the model it calls; the table therefore holds only this module's
-builders, and ``hashlib`` is imported only for the table footer's digest.
+and flags; the parser holds only the rows on the path argv names, with
+flags only on the one being run.  :func:`run` loads the profile, calls the
+builder and renders the :class:`Report` it returns (``ingest`` and
+``--plot-data`` return bytes).  The raw-CVR reader and the model modules
+load lazily (see the package docstring), so the table holds only this
+module's builders; ``hashlib``, ``csv`` and ``json`` load only for the
+output that uses them.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ import sys
 from collections.abc import Sequence
 from fractions import Fraction
 
-from . import __version__, approval, condorcet, irv, star
+from . import __version__, _ingest_module, approval, condorcet, irv, star
 from .core import CondensedProfile
 from .errors import DecisiveTieError, NoValidBallotsError, ParseError, UnattainableError
-from .ingest import ingest_raw, parse_condensed, write_condensed
+from .condensed import parse_condensed, write_condensed
 from .rational import decimal_string, exact_rational, fraction_token, percent_string
 from .report import (
     CSV,
@@ -113,7 +114,7 @@ def _load_profile(args: argparse.Namespace) -> tuple[CondensedProfile, bytes]:
     fmt = args.input_format or {".json": "raw", ".csv": "condensed"}.get(extension)
     if fmt is None:
         raise ParseError(f"cannot infer input format of {args.file!r}; pass --input-format")
-    return (ingest_raw if fmt == "raw" else parse_condensed)(data), data
+    return (_ingest_module.ingest_raw if fmt == "raw" else parse_condensed)(data), data
 
 
 def _provenance(argv: Sequence[str], data: bytes) -> str:
@@ -415,7 +416,11 @@ COMMANDS = (
 
 
 def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """Every command, but flags only on the row ``argv`` runs: argparse reads no other's."""
+    """The rows on the longest command path ``argv`` starts with, flags only on
+    its last, and every row below it, so that ``--help`` and an invalid choice
+    list a group's (or, with no command named, every) command."""
+    chosen = max((w for w in (tuple(row[0].split()) for row in COMMANDS)
+                  if tuple(argv[:len(w)]) == w), key=len, default=())
     parser = argparse.ArgumentParser(
         prog="ballotlab",
         description="Tabulate ranked-ballot profiles: instant runoff, head-to-head "
@@ -424,9 +429,12 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ballotlab {__version__}")
     groups = {"": parser.add_subparsers(dest="command", required=True, metavar="command")}
     for path, help_text, build, *flags in COMMANDS:
+        words = tuple(path.split())
+        if words[:len(chosen)] != chosen and chosen[:len(words)] != words:
+            continue  # off the path: neither above nor below its end
         group, _, name = path.rpartition(" ")
         p = groups[group].add_parser(name, help=help_text)
-        for names, kwargs in flags if path.split() == [*argv[:path.count(" ") + 1]] else ():
+        for names, kwargs in flags if words == chosen else ():
             p.add_argument(*names, **kwargs)
         if build is None:
             groups[name] = p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")

@@ -61,4 +61,8 @@ def percent_string(share: Fraction | int, places: int = 2) -> str:
 
 def fraction_token(value: Fraction | int) -> str:
     """Machine rendering: plain integer, or ``numerator/denominator``."""
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # past ``int()``'s digit limit
+        raise ValueError(f"exact value has a numerator or denominator of over {MAX_EXPONENT} "
+                         "digits, too long for machine output; table output rounds it") from None

@@ -13,9 +13,7 @@ built up in place, and its ``rows`` and ``notes`` start as new lists.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 from fractions import Fraction
 
 from .core import Record
@@ -138,6 +136,7 @@ def _emit_text_table(report: Report) -> bytes:
 
 
 def _emit_csv(report: Report) -> bytes:
+    import csv  # each machine format imports its module only when used
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([col.name for col in report.columns])
@@ -146,6 +145,7 @@ def _emit_csv(report: Report) -> bytes:
 
 
 def _emit_json_lines(report: Report) -> bytes:
+    import json
     names = [col.name for col in report.columns]
     lines = [json.dumps(dict(zip(names, row)), separators=(",", ":"), ensure_ascii=False)
              for row in _machine_rows(report)]

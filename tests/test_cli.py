@@ -792,11 +792,12 @@ def test_model_command_output_is_unchanged(capsysbinary, monkeypatch, alaska_csv
 SRC = Path(__file__).resolve().parent.parent / "src"
 LAYERS = ("approval", "cli", "condorcet", "core", "ingest", "irv", "rational", "report", "star")
 
-# Runs in a new interpreter: records every module body that executes
-# (the "exec" audit event), imports the CLI, runs one command with its
-# output discarded, and prints what ran as JSON.
+# Runs in a new interpreter without site hooks, which may import modules
+# first: records every module body that executes (the "exec" audit event),
+# imports the CLI, runs one command with its output discarded, and prints
+# what ran, and every module then imported, as JSON.
 AUDIT_SCRIPT = """
-import io, json, os, sys
+import io, os, sys
 
 executed = []
 sys.addaudithook(lambda event, args: event == "exec" and executed.append(args[0].co_filename))
@@ -812,6 +813,8 @@ imported = sorted({os.path.basename(f) for f in executed})
 loaded = sorted(m for m in sys.modules if m.startswith("ballotlab."))
 sys.stdout = io.TextIOWrapper(io.BytesIO())
 code = ballotlab.cli.run(sys.argv[1:])
+modules = sorted(sys.modules)
+import json
 sys.__stdout__.write(json.dumps({
     "code": code,
     "after_import": after_import,
@@ -819,6 +822,7 @@ sys.__stdout__.write(json.dumps({
     "loaded": loaded,
     "after_run": ran(),
     "executed": sorted({os.path.basename(f) for f in executed}),
+    "modules": modules,
 }))
 """
 
@@ -831,7 +835,7 @@ def _child_env() -> dict[str, str]:
 
 def _audit(*argv: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", AUDIT_SCRIPT, *argv],
+        [sys.executable, "-S", "-c", AUDIT_SCRIPT, *argv],
         env=_child_env(), capture_output=True, check=True, timeout=60,
     )
     return json.loads(proc.stdout)
@@ -857,6 +861,26 @@ class TestHugeExponents:
         assert (proc.returncode, proc.stdout) == (2, b"")
         assert f"error: {flag} has a decimal exponent outside ±4300: ".encode() in proc.stderr
 
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines", "table"])
+    @pytest.mark.parametrize("argv", [
+        ["approval", "eval", "--p", "1e-4300"],
+        ["approval", "sweep", "--grid", "0:1e-4300:1e-4300"],
+    ], ids=" ".join)
+    def test_machine_format_names_the_digit_limit(self, alaska_csv, argv, fmt):
+        """A value just inside the exponent bound has a 4301-digit denominator, which ``str()``
+        refuses; the machine formats say so, and the table format rounds the value."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "ballotlab", *argv[:2], str(alaska_csv), *argv[2:],
+             "--format", fmt],
+            env=_child_env(), capture_output=True, timeout=60,
+        )
+        if fmt == "table":
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            return
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == (b"error: exact value has a numerator or denominator of over 4300 "
+                               b"digits, too long for machine output; table output rounds it\n")
+
 
 class TestLazyModelModules:
     @pytest.mark.parametrize("command, flags, absent", [
@@ -879,11 +903,35 @@ class TestLazyModelModules:
         assert {f"ballotlab.{m}" for m in LAYERS} <= set(result["loaded"])
         assert not {"dataclasses.py", "inspect.py"} & set(result["imported"])
 
+    @pytest.mark.parametrize("flags, imported, absent", [
+        ([], set(), {"json", "csv", "gc"}),
+        (["--format", "csv"], {"csv"}, {"json", "gc"}),
+        (["--format", "json-lines"], {"json"}, {"csv", "gc"}),
+    ], ids=["table", "csv", "json-lines"])
+    def test_condensed_command_runs_no_raw_reader_and_imports_its_format_only(
+            self, alaska_csv, flags, imported, absent):
+        result = _audit("irv", str(alaska_csv), *flags)
+        assert result["code"] == 0
+        assert "ingest.py" not in result["executed"]
+        assert imported <= set(result["modules"])
+        assert not absent & set(result["modules"])
+
+    def test_raw_command_runs_the_raw_reader(self, tmp_path):
+        source = tmp_path / "raw.json"
+        source.write_text(json.dumps(RAW_CVR))
+        result = _audit("pairwise", str(source), "--format", "csv")
+        assert result["code"] == 0
+        assert "ingest.py" in result["executed"]
+        assert {"json", "gc"} <= set(result["modules"])
+
     def test_cli_imports_neither_pathlib_nor_typing(self):
-        """Without site hooks, which may import them first, ``import ballotlab.cli`` loads neither."""
+        """Without site hooks, which may import them first, ``import ballotlab.cli`` loads none
+        of these: ``pathlib`` and ``typing`` never, the rest only in the reader or output
+        format that uses them."""
+        names = {"pathlib", "typing", "json", "csv", "gc", "hashlib"}
         proc = subprocess.run(
             [sys.executable, "-S", "-c",
-             "import sys, ballotlab.cli; print(sorted({'pathlib', 'typing'} & set(sys.modules)))"],
+             f"import sys, ballotlab.cli; print(sorted({names!r} & set(sys.modules)))"],
             env=_child_env(), capture_output=True, check=True, timeout=60,
         )
         assert proc.stdout == b"[]\n"

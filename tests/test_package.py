@@ -3,6 +3,8 @@
 import copy
 import importlib
 import pickle
+import sys
+import types
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -33,6 +35,34 @@ def test_every_public_name_is_its_defining_object():
 def test_ingest_is_the_function_not_the_module():
     assert callable(ballotlab.ingest)
     assert ballotlab.ingest is importlib.import_module("ballotlab.ingest").ingest
+
+
+# Three ballots: a full ranking, a two-way top overvote, a write-in then two choices.
+SMALL_CVR = (b'{"candidates": ["A", "B", "C"], "ballots": [[["A"], ["B"], []], '
+             b'[["B", "C"], [], []], [["WRITEIN:x"], ["C"], ["A"]]]}')
+
+
+def test_raw_reader_module_is_registered_but_not_the_package_name():
+    module = sys.modules["ballotlab.ingest"]
+    assert isinstance(module, types.ModuleType) and module.__name__ == "ballotlab.ingest"
+    from ballotlab import ingest
+    import ballotlab.ingest as imported
+    from ballotlab.ingest import ingest_raw
+    assert ingest is imported is ballotlab.ingest is module.ingest
+    assert ingest_raw is module.ingest_raw
+    assert {"parse_raw", "RawCvrDocument"} <= set(dir(ballotlab))
+    # The condensed reader and writer keep their names in the raw reader's module.
+    assert module.parse_condensed is ballotlab.parse_condensed
+    assert module.write_condensed is ballotlab.write_condensed
+
+
+def test_library_raw_reader_pickles_and_matches_the_one_pass():
+    from ballotlab.ingest import ingest_raw
+
+    doc = ballotlab.parse_raw(SMALL_CVR)
+    assert pickle.loads(pickle.dumps(doc)) == doc
+    assert ballotlab.ingest(doc) == ingest_raw(SMALL_CVR)
+    assert ingest_raw(SMALL_CVR).total_with_any_mark == 3
 
 
 def test_star_import_binds_every_name():

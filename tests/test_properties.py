@@ -58,7 +58,8 @@ from .oracles import (
     whole_ranking,
     zero_profile,
 )
-from ballotlab.ingest import _RESERVED, ingest_raw
+from ballotlab.condensed import _RESERVED
+from ballotlab.ingest import ingest_raw
 
 ABC = ("A", "B", "C")
 GROUPS = tuple((a, b) for a in ABC for b in ABC if a != b)
