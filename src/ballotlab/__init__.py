@@ -8,9 +8,10 @@ arithmetic.
 
 The raw-CVR reader (``ingest``) and the model modules (``irv``,
 ``condorcet``, ``approval``, ``star``) are registered in ``sys.modules`` at
-import but execute on first attribute access, so a command-line process
-runs only the reader and model it needs.  Their public names are served
-from here on demand and behave exactly like eager re-exports;
+import but execute on first attribute access.  Each model module ends with
+the report builders of its commands, so a command-line process compiles
+and runs only the reader, model and builder it needs.  Public names are
+served from here on demand and behave exactly like eager re-exports;
 ``ballotlab.ingest`` is the function, not the module.
 """
 

@@ -19,7 +19,8 @@ from math import lcm
 
 from .core import CondensedProfile, Record
 from .errors import UnattainableError
-from .rational import bounded_rational, exact_rational
+from .rational import bounded_rational, decimal_string, exact_rational, fraction_token
+from .report import CSV, Cell, Column, Report, emit_range_plot_data
 
 Group = tuple[str, str]  # (first choice, second choice)
 
@@ -247,7 +248,8 @@ def min_second_votes_to_clinch(profile: CondensedProfile, candidate: str, from_g
     if needed > group_size:
         raise UnattainableError(
             f"{candidate} needs {needed} second-choice votes to clinch, but the "
-            f"{from_group[0]}>{from_group[1]} group has only {group_size} voters",
+            f"{from_group[0]}>{from_group[1]} group has only {group_size} "
+            f"{'voter' if group_size == 1 else 'voters'}",
             required=needed,
         )
     return needed
@@ -278,3 +280,89 @@ def sweep(profile: CondensedProfile, scale: Scale, grid_step, start, end,
     first, n_step = int(start * d), int(step * d)
     return [(Fraction(n, d), winners({c: b + slope[c] * n for c, b in base.items()}))
             for n in range(first, first + n_step * ((end - start) // step + 1), n_step)]
+
+
+# Command-line report builders: (parsed arguments, profile) -> Report.
+def scenario_rates(args, profile: CondensedProfile, flag: str) -> dict[Group, object]:
+    """The per-group values of ``--<flag>`` and the repeatable ``--<flag>-group``."""
+    rates: dict[Group, object] = {}
+    uniform = getattr(args, flag)
+    if uniform is not None:
+        value = exact_rational(uniform, f"--{flag}")
+        rates = {g: value for g in profile.ranking_groups()}
+    given: set[Group] = set()
+    for group, raw in getattr(args, f"{flag}_group") or []:
+        if group in given:
+            raise ValueError(f"--{flag}-group repeats group {group[0]}>{group[1]}")
+        given.add(group)
+        rates[group] = exact_rational(raw, f"--{flag}-group")
+    return rates
+
+
+def range_table(args, profile: CondensedProfile, model_range, title: str, *,
+                star: bool = False) -> Report | bytes:
+    """``approval range`` and ``star range``, for the model's range function."""
+    if args.plot_data and args.format not in (None, CSV):
+        raise ValueError(f"--plot-data writes CSV and cannot take --format {args.format}")
+    rng = model_range(profile)
+    if args.plot_data:
+        return emit_range_plot_data(rng.minimum, profile, star=star)
+    return Report(title, (Column("candidate"), Column("min", "int"), Column("max", "int")),
+                  [(c, rng.minimum[c], rng.maximum[c]) for c in profile.candidates])
+
+
+def range_report(args, profile: CondensedProfile) -> Report | bytes:
+    return range_table(args, profile, approval_range, "Approval voting: possible vote ranges")
+
+
+def eval_report(args, profile: CondensedProfile) -> Report:
+    scenario = ApprovalScenario.for_profile(profile, scenario_rates(args, profile, "p"))
+    outcome = evaluate_approval(profile, scenario)
+    return Report.items("Approval voting: scenario outcome", [
+        *((f"score {c}", Cell(outcome.scores[c], "decimal2")) for c in profile.candidates),
+        ("winner", "|".join(outcome.winners)),
+        ("mean_approvals_ranking_voters", Cell(outcome.mean_approvals_ranking_voters, "decimal3")),
+        ("mean_approvals_all_voters", Cell(outcome.mean_approvals_all_voters, "decimal3")),
+    ])
+
+
+def threshold_report(args, profile: CondensedProfile) -> Report:
+    p = uniform_threshold(profile, args.riser, args.leader)
+    if p is None:
+        raise UnattainableError(
+            f"{args.riser} cannot catch {args.leader} at any uniform "
+            "second-choice approval rate in [0, 1]"
+        )
+    outcome = evaluate_approval(profile, ApprovalScenario.uniform(profile, p))
+    return Report.items("Approval voting: uniform crossover threshold", [
+        ("riser", args.riser),
+        ("leader", args.leader),
+        ("threshold_p", Cell(p, "decimal4")),
+        ("mean_approvals_ranking_voters", Cell(outcome.mean_approvals_ranking_voters, "decimal3")),
+        ("mean_approvals_all_voters", Cell(outcome.mean_approvals_all_voters, "decimal3")),
+    ], notes=[
+        f"p* = {fraction_token(p)} ≈ {decimal_string(p, 4)} "
+        f"(≈ {decimal_string(outcome.mean_approvals_ranking_voters, 3)} "
+        "approvals per ranking voter)"
+    ])
+
+
+def clinch_report(args, profile: CondensedProfile) -> Report:
+    needed = min_second_votes_to_clinch(profile, args.candidate, args.group)
+    rng = approval_range(profile)
+    return Report.items("Approval voting: clinch requirement", [
+        ("candidate", args.candidate),
+        ("group", f"{args.group[0]}>{args.group[1]}"),
+        ("group_size", Cell(profile.full_count(*args.group), "int")),
+        ("required_votes", Cell(needed, "int")),
+        ("guaranteed_total", Cell(rng.minimum[args.candidate] + needed, "int")),
+        ("best_rival_maximum",
+         Cell(max(n for c, n in rng.maximum.items() if c != args.candidate), "int")),
+    ])
+
+
+def sweep_report(args, profile: CondensedProfile) -> Report:
+    start, end, step = args.grid
+    points = sweep_uniform(profile, step, start=start, end=end)
+    return Report("Approval voting: uniform-rate sweep",
+                  (Column("p", "decimal4"), Column("winner")), [(t, "|".join(w)) for t, w in points])

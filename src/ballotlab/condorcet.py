@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import CondensedProfile, Record
-from .irv import tabulate_irv
+from .report import Cell, Column, Report
 
 RANKED_ONLY = "ranked-only"
 INCLUDE_TIES = "include-ties"
@@ -101,6 +101,7 @@ def detect_center_squeeze(
 
     Uses the ranked-only basis; propagates the tabulator's tie error.
     """
+    from .irv import tabulate_irv  # here, so head-to-head commands compile no IRV code
     report = condorcet_winner_loser(pairwise_tallies(profile, RANKED_ONLY))
     outcome = tabulate_irv(profile, break_ties_by_roster=break_ties_by_roster)
 
@@ -116,3 +117,54 @@ def detect_center_squeeze(
         irv_winner=outcome.winner,
         condorcet_winner_eliminated_in_round=eliminated_in,
     )
+
+
+# Command-line report builders: (parsed arguments, profile) -> Report.
+def pairwise_report(args, profile: CondensedProfile) -> Report:
+    tally = pairwise_tallies(profile, args.basis)
+
+    report = Report(
+        title=f"Head-to-head tallies ({args.basis})",
+        columns=(
+            Column("candidate_a"),
+            Column("candidate_b"),
+            Column("prefers_a", "int"),
+            Column("prefers_b", "int"),
+            Column("no_preference", "int"),
+            Column("share_a", "percent"),
+            Column("share_b", "percent"),
+        ),
+    )
+    for a, b in profile.candidate_pairs():
+        share_a = tally.pair_share(a, b)
+        share_b = tally.pair_share(b, a)
+        report.add(
+            a, b, tally.prefers[(a, b)], tally.prefers[(b, a)],
+            tally.no_preference[frozenset((a, b))],
+            "" if share_a is None else share_a,
+            "" if share_b is None else share_b,
+        )
+    report.notes.append(f"ballots in basis: {tally.total}")
+    return report
+
+
+def condorcet_report(args, profile: CondensedProfile) -> Report:
+    result = condorcet_winner_loser(pairwise_tallies(profile, RANKED_ONLY))
+    return Report.items("Condorcet analysis (ranked-only)", [
+        ("condorcet_winner", result.winner or "(none)"),
+        ("condorcet_loser", result.loser or "(none)"),
+        *((f"share {x} vs {y}", Cell(share, "percent"))
+          for (x, y), share in result.margins.items()),
+    ])
+
+
+def squeeze_report(args, profile: CondensedProfile) -> Report:
+    diag = detect_center_squeeze(profile)
+    eliminated = diag.condorcet_winner_eliminated_in_round
+    return Report.items("Center-squeeze diagnostic", [
+        ("squeezed", "true" if diag.squeezed else "false"),
+        ("condorcet_winner", diag.condorcet_winner or "(none)"),
+        ("irv_winner", diag.irv_winner),
+        ("condorcet_winner_eliminated_in_round",
+         Cell(eliminated, "int") if eliminated is not None else "(never)"),
+    ])

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 from .core import CondensedProfile, Record
 from .errors import DecisiveTieError, NoValidBallotsError
+from .rational import percent_string
+from .report import Column, Report
 
 
 class IrvRound(Record):
@@ -109,3 +111,44 @@ def irv_percentages(outcome: IrvOutcome) -> tuple[RoundShares, ...]:
             )
         )
     return tuple(shares)
+
+
+# The command-line report builder: (parsed arguments, profile) -> Report.
+def irv_report(args, profile: CondensedProfile) -> Report:
+    outcome = tabulate_irv(profile)
+    shares = irv_percentages(outcome)
+
+    report = Report(
+        title="Instant-runoff rounds",
+        columns=(
+            Column("round", "int"),
+            Column("candidate"),
+            Column("votes", "int"),
+            Column("share_active", "percent"),
+            Column("share_round1", "percent"),
+            Column("transfers_in", "int"),
+            Column("exhausted_this_round", "int"),
+            Column("active_ballots", "int"),
+            Column("status"),
+        ),
+    )
+    for rnd, share in zip(outcome.rounds, shares):
+        for c, votes in rnd.tallies.items():
+            if rnd.eliminated == c:
+                status = "eliminated"
+            elif rnd.eliminated is None and c == outcome.winner:
+                status = "winner"
+            else:
+                status = "continuing"
+            report.add(
+                rnd.round_index, c, votes,
+                share.of_active[c], share.of_round1[c],
+                rnd.transfers.get(c, 0), rnd.exhausted_this_round,
+                rnd.active_ballots, status,
+            )
+    report.notes.append(
+        f"winner: {outcome.winner} with {percent_string(shares[-1].of_active[outcome.winner])} "
+        f"of round-{outcome.rounds[-1].round_index} active ballots"
+    )
+    report.notes.append(f"invalid overvote ballots excluded: {outcome.invalid_overvotes}")
+    return report

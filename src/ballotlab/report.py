@@ -14,6 +14,7 @@ built up in place, and its ``rows`` and ``notes`` start as new lists.
 from __future__ import annotations
 
 import io
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .core import Record
@@ -61,6 +62,11 @@ class Report(Record):
     def __post_init__(self) -> None:
         self.rows = [] if self.rows is None else self.rows
         self.notes = [] if self.notes is None else self.notes
+
+    @classmethod
+    def items(cls, title: str, rows, notes: Sequence[str] = ()) -> Report:
+        """A two-column ``item``/``value`` report."""
+        return cls(title, (Column("item"), Column("value")), list(rows), list(notes))
 
     def add(self, *values: Value | Cell) -> None:
         if len(values) != len(self.columns):

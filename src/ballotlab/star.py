@@ -24,9 +24,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .approval import Group, Scale, Scenario, check_pair, score_lines, score_range, sweep
+from .approval import (Group, Scale, Scenario, check_pair, range_table, scenario_rates,
+                       score_lines, score_range, sweep)
 from .core import CondensedProfile, Record
 from .errors import DecisiveTieError, UnattainableError
+from .rational import decimal_string
+from .report import Cell, Column, Report
 
 STAR = Scale(5, 1, 4, True, "star rating", "stars")
 
@@ -182,3 +185,41 @@ def sweep_star(profile: CondensedProfile, grid_step, *, start=STAR.low,
     table = _runoff_table(profile)
     return sweep(profile, STAR, grid_step, start, end,
                  lambda scores: _runoff(profile.candidates, scores, table)[2])
+
+
+# Command-line report builders: (parsed arguments, profile) -> Report.
+def range_report(args, profile: CondensedProfile) -> Report | bytes:
+    return range_table(args, profile, star_range, "STAR voting: possible score ranges", star=True)
+
+
+def eval_report(args, profile: CondensedProfile) -> Report:
+    scenario = StarScenario.for_profile(profile, scenario_rates(args, profile, "s"))
+    outcome = evaluate_star(profile, scenario)
+    return Report.items("STAR voting: scenario outcome", [
+        *((f"score {c}", Cell(outcome.scores[c], "decimal2")) for c in profile.candidates),
+        ("finalists", "|".join(outcome.finalists)),
+        *((f"runoff {c}", Cell(outcome.runoff_tallies[c], "int")) for c in outcome.finalists),
+        ("runoff_no_preference", Cell(outcome.runoff_no_preference, "int")),
+        ("winner", "|".join(outcome.winners)),
+    ])
+
+
+def threshold_report(args, profile: CondensedProfile) -> Report:
+    result = uniform_star_threshold(profile, args.guaranteed, args.rival)
+    return Report.items("STAR voting: guaranteed-berth threshold", [
+        ("guaranteed", args.guaranteed),
+        ("rival", args.rival),
+        ("threshold_stars", Cell(result.stars, "decimal2")),
+        ("achieved_score", Cell(result.achieved_score, "decimal2")),
+        ("rival_maximum", Cell(result.rival_maximum, "int")),
+    ], notes=[
+        f"s = {decimal_string(result.stars, 2)} → score "
+        f"{decimal_string(result.achieved_score, 2)} > rival maximum {result.rival_maximum}"
+    ])
+
+
+def sweep_report(args, profile: CondensedProfile) -> Report:
+    start, end, step = args.grid
+    points = sweep_star(profile, step, start=start, end=end)
+    return Report("STAR voting: uniform-rating sweep",
+                  (Column("s", "decimal2"), Column("winner")), [(t, "|".join(w)) for t, w in points])

@@ -175,6 +175,15 @@ class TestClinch:
         # 27,258 voters ranking Palin second to Begich.
         assert info.value.required == 135703 - 59055 + 1
 
+    def test_shortfall_names_the_group_size_in_voters(self, alaska_profile):
+        with pytest.raises(UnattainableError, match="the Begich>Palin group has only 27258 voters$"):
+            min_second_votes_to_clinch(alaska_profile, "Palin", ("Begich", "Palin"))
+
+    def test_shortfall_of_a_one_voter_group_says_voter(self):
+        profile = CondensedProfile(ABC, {"A": 10, "B": 1, "C": 1}, {("A", "B"): 1}, {})
+        with pytest.raises(UnattainableError, match="the A>B group has only 1 voter$"):
+            min_second_votes_to_clinch(profile, "B", ("A", "B"))
+
     def test_group_must_rank_candidate_second(self, alaska_profile):
         with pytest.raises(ValueError):
             min_second_votes_to_clinch(alaska_profile, "Begich", ("Begich", "Palin"))

@@ -9,9 +9,13 @@ from pathlib import Path
 import pytest
 
 from ballotlab import __version__, parse_condensed
-from ballotlab.cli import COMMANDS, run
+from ballotlab.cli import COMMANDS, _builder, run
 
 from .conftest import alaska
+
+
+#: Each command's builder reference, ``module.attribute``.
+BUILDERS = {path: build for path, _, build, *_ in COMMANDS if build is not None}
 
 
 def invoke(capsys, *argv: str) -> tuple[int, str, str]:
@@ -167,6 +171,20 @@ class TestDispatchAndErrors:
         code, out, err = invoke(capsys, *argv[:2], fixture, *argv[2:], "--format", "csv")
         assert (code, err) == (0, "")
         assert out.startswith("item,value\n")
+
+    @pytest.mark.parametrize("argv, row", [
+        (["approval", "eval", "--p-group", "Lee=Park>Begich=1/2"], "score Begich,2\n"),
+        (["star", "eval", "--s-group", "Lee=Park>Begich=2"], "score Begich,9\n"),
+    ])
+    def test_group_value_follows_the_last_equals_sign(self, capsys, tmp_path, argv, row):
+        """A raw CVR may name a candidate ``Lee=Park``; the flag's value follows the last ``=``."""
+        path = tmp_path / "raw.json"
+        path.write_text(json.dumps({"candidates": ["Lee=Park", "Begich", "Peltola"], "ballots": [
+            *[[["Lee=Park"], ["Begich"], []]] * 2, [["Begich"], ["Peltola"], []],
+            *[[["Peltola"], [], []]] * 3]}))
+        code, out, err = invoke(capsys, *argv[:2], str(path), *argv[2:], "--format", "csv")
+        assert (code, err) == (0, "")
+        assert row in out
 
     @pytest.mark.parametrize("argv, message", [
         (["approval", "threshold", "--riser", "Begich", "--leader", "Begich"],
@@ -883,19 +901,37 @@ class TestHugeExponents:
 
 
 class TestLazyModelModules:
+    ALSO_RUNS = {"squeeze": {"irv.py"}}  # the diagnostic runs the IRV count
+
     @pytest.mark.parametrize("command, flags, absent", [
         ("irv", [],
          {"approval.py", "star.py", "condorcet.py", "dataclasses.py", "inspect.py"}),
         ("approval sweep", ["--format", "csv"],
          {"star.py", "condorcet.py", "irv.py", "hashlib.py", "dataclasses.py", "inspect.py"}),
         ("star eval", [], {"condorcet.py", "irv.py", "dataclasses.py", "inspect.py"}),
+        ("squeeze", [], {"approval.py", "star.py", "dataclasses.py", "inspect.py"}),
+        ("pairwise", [], {"irv.py", "approval.py", "star.py", "dataclasses.py", "inspect.py"}),
+        ("star sweep", ["--format", "csv"],
+         {"condorcet.py", "irv.py", "dataclasses.py", "inspect.py"}),
     ])
     def test_command_executes_only_the_modules_it_uses(self, alaska_csv, command, flags, absent):
         result = _audit(*command.split(), str(alaska_csv), *flags)
         assert result["code"] == 0
         assert not absent & set(result["executed"])
-        model = command.split()[0]
+        model = BUILDERS[command].partition(".")[0]  # the module holding the command's builder
         assert {f"{model}.py", "cli.py", "core.py"} <= set(result["after_run"])
+        assert self.ALSO_RUNS.get(command, set()) <= set(result["after_run"])
+
+    @pytest.mark.parametrize("command", BUILDERS)
+    def test_builder_reference_names_a_function(self, command):
+        assert callable(_builder(BUILDERS[command]))
+
+    @pytest.mark.parametrize("path", ["", *(row[0] for row in COMMANDS)])
+    def test_building_the_parser_executes_no_model_module(self, path):
+        """``--help`` builds the parser for the path, with its flags, then exits."""
+        result = _audit(*path.split(), "--help")
+        assert result["code"] == 0
+        assert not {"approval.py", "condorcet.py", "irv.py", "star.py"} & set(result["executed"])
 
     def test_import_runs_no_model_module_yet_registers_every_layer(self, alaska_csv):
         result = _audit("ingest", str(alaska_csv))
