@@ -283,6 +283,16 @@ def sweep(profile: CondensedProfile, scale: Scale, grid_step, start, end,
 
 
 # Command-line report builders: (parsed arguments, profile) -> Report.
+def roster_group(profile: CondensedProfile, group: Group) -> Group:
+    """The profile's group spelled ``first>second`` as ``group`` is (``group`` if none, a
+    ``ValueError`` if two): a flag splits at its first ``>``, a raw CVR's names may hold one."""
+    found = [g for g in profile.ranking_groups() if ">".join(g) == ">".join(group)]
+    if len(found) > 1:
+        raise ValueError(f"group {'>'.join(group)} is ambiguous: it reads as "
+                         + ", or as ".join(f"{a!r} then {b!r}" for a, b in found))
+    return found[0] if found else group
+
+
 def scenario_rates(args, profile: CondensedProfile, flag: str) -> dict[Group, object]:
     """The per-group values of ``--<flag>`` and the repeatable ``--<flag>-group``."""
     rates: dict[Group, object] = {}
@@ -292,6 +302,7 @@ def scenario_rates(args, profile: CondensedProfile, flag: str) -> dict[Group, ob
         rates = {g: value for g in profile.ranking_groups()}
     given: set[Group] = set()
     for group, raw in getattr(args, f"{flag}_group") or []:
+        group = roster_group(profile, group)
         if group in given:
             raise ValueError(f"--{flag}-group repeats group {group[0]}>{group[1]}")
         given.add(group)
@@ -299,20 +310,19 @@ def scenario_rates(args, profile: CondensedProfile, flag: str) -> dict[Group, ob
     return rates
 
 
-def range_table(args, profile: CondensedProfile, model_range, title: str, *,
-                star: bool = False) -> Report | bytes:
-    """``approval range`` and ``star range``, for the model's range function."""
+def range_table(args, profile: CondensedProfile, scale: Scale, title: str) -> Report | bytes:
+    """``approval range`` and ``star range``: :func:`score_range` on the model's scale."""
     if args.plot_data and args.format not in (None, CSV):
         raise ValueError(f"--plot-data writes CSV and cannot take --format {args.format}")
-    rng = model_range(profile)
+    minimum, maximum = score_range(profile, scale)
     if args.plot_data:
-        return emit_range_plot_data(rng.minimum, profile, star=star)
+        return emit_range_plot_data(minimum, profile, scale.high - scale.low)
     return Report(title, (Column("candidate"), Column("min", "int"), Column("max", "int")),
-                  [(c, rng.minimum[c], rng.maximum[c]) for c in profile.candidates])
+                  [(c, minimum[c], maximum[c]) for c in profile.candidates])
 
 
 def range_report(args, profile: CondensedProfile) -> Report | bytes:
-    return range_table(args, profile, approval_range, "Approval voting: possible vote ranges")
+    return range_table(args, profile, APPROVAL, "Approval voting: possible vote ranges")
 
 
 def eval_report(args, profile: CondensedProfile) -> Report:
@@ -348,12 +358,13 @@ def threshold_report(args, profile: CondensedProfile) -> Report:
 
 
 def clinch_report(args, profile: CondensedProfile) -> Report:
-    needed = min_second_votes_to_clinch(profile, args.candidate, args.group)
+    group = roster_group(profile, args.group)
+    needed = min_second_votes_to_clinch(profile, args.candidate, group)
     rng = approval_range(profile)
     return Report.items("Approval voting: clinch requirement", [
         ("candidate", args.candidate),
-        ("group", f"{args.group[0]}>{args.group[1]}"),
-        ("group_size", Cell(profile.full_count(*args.group), "int")),
+        ("group", ">".join(group)),
+        ("group_size", Cell(profile.full_count(*group), "int")),
         ("required_votes", Cell(needed, "int")),
         ("guaranteed_total", Cell(rng.minimum[args.candidate] + needed, "int")),
         ("best_rival_maximum",

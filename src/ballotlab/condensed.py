@@ -11,7 +11,7 @@ break: LF, CR, VT, FF, FS, GS, RS, NEL, LS or PS, each character
 
 from __future__ import annotations
 
-from .core import CondensedProfile
+from .core import CondensedProfile, ProfileKey, condense_weighted
 from .errors import ParseError
 
 MAX_COUNT = 2**63 - 1  # counts must fit a 64-bit signed integer
@@ -72,8 +72,8 @@ def parse_condensed(data: bytes) -> CondensedProfile:
         return name
 
     seen: set = set()
-    rows: dict[str, dict[tuple[str, ...], int]] = {kind: {} for kind in _PATTERNS}
-    blank = 0
+    weighted: list[tuple[ProfileKey, int]] = []  # each row's profile key and count
+    everyone = None  # the over3 row's names
 
     for line_no, line in enumerate(lines[1:], start=2):
         line = line.strip()
@@ -94,25 +94,23 @@ def parse_condensed(data: bytes) -> CondensedProfile:
         count = _parse_count(raw_count, line_no)
 
         if token == "blank":
-            blank = count
+            weighted.append(((), count))
         elif sep is None:
             raise ParseError(f"line {line_no}: unknown pattern {token!r}")
         elif len(set(names)) != len(names) or (len(names) != arity if arity else len(names) < 2):
             raise ParseError(f"line {line_no}: malformed pattern {token!r}")
         else:
-            rows[kind][tuple(map(register, names))] = count
+            names = tuple(map(register, names))
+            weighted.append((frozenset(names) if sep == "+" else names, count))
+            everyone = everyone if arity else names
 
-    over3_names = next(iter(rows["over3"]), None)
-    if over3_names is not None and set(over3_names) != set(roster):
+    if everyone is not None and set(everyone) != set(roster):
         raise ParseError(
             "all-overvote pattern must list the whole roster, got "
-            f"{list(over3_names)!r} with roster {roster!r}"
+            f"{list(everyone)!r} with roster {roster!r}"
         )
-    bullet = {name: n for (name,), n in rows["bullet"].items()}
-    over2 = {frozenset(pair): n for pair, n in rows["over2"].items()}
     try:
-        return CondensedProfile(tuple(roster), bullet, rows["full"], over2,
-                                sum(rows["over3"].values()), blank)
+        return condense_weighted(weighted, roster)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -197,10 +197,10 @@ class CondensedProfile(Record):
     """Counts of ballots by preference pattern for one race.
 
     ``full`` counts rankings, top first, of 2 to max(2, N - 1) of the N
-    candidates, the last being implied.  Zero counts are dropped on
-    construction, so profiles compare equal regardless of whether absent
-    patterns were spelled out.  All counts must be nonnegative and refer
-    only to roster candidates.  Tabulations read rankings through
+    candidates, the last being implied.  Construction drops zero counts and
+    moves an ``over2`` set of the whole roster to ``over3`` (all-way), so
+    profiles compare equal however spelled.  All counts must be nonnegative
+    and refer only to roster candidates.  Tabulations read rankings through
     :meth:`rankings`, and count each one for its highest-ranked candidate
     among those in play through :meth:`top_choices`.
     """
@@ -227,7 +227,7 @@ class CondensedProfile(Record):
             if not roster_set.issuperset(prefs):
                 raise ValueError(f"full pattern {prefs!r} leaves the roster")
         for pair in self.over2:
-            if len(pair) != 2 or not pair <= roster_set:
+            if len(pair) < 2 or not (pair == roster_set or len(pair) == 2 and pair <= roster_set):
                 raise ValueError(f"overvote pair {sorted(pair)!r} is invalid")
 
         for count in (*self.bullet.values(), *self.full.values(),
@@ -237,7 +237,9 @@ class CondensedProfile(Record):
 
         object.__setattr__(self, "bullet", {c: n for c, n in self.bullet.items() if n})
         object.__setattr__(self, "full", {g: n for g, n in self.full.items() if n})
-        object.__setattr__(self, "over2", {p: n for p, n in self.over2.items() if n})
+        object.__setattr__(self, "over3", self.over3 + self.over2.get(roster_set, 0))
+        object.__setattr__(self, "over2", {p: n for p, n in self.over2.items()
+                                           if n and p != roster_set})
 
     # -- totals ---------------------------------------------------------
 
@@ -349,13 +351,11 @@ def condense(keys: Iterable[ProfileKey], roster: Sequence[str]) -> CondensedProf
 def condense_weighted(
     weighted: Iterable[tuple[ProfileKey, int]], roster: Sequence[str]
 ) -> CondensedProfile:
-    """Count ``(profile key, number of ballots)`` pairs into a profile; a
-    value of another type raises :class:`TypeError`."""
-    everyone = frozenset(validate_roster(roster))
+    """Count ``(profile key, number of ballots)`` pairs into a profile, each
+    overvote set under ``over2``; a value of another type raises :class:`TypeError`."""
     bullet: dict[str, int] = {}
     full: dict[tuple[str, ...], int] = {}
     over2: dict[frozenset[str], int] = {}
-    over3 = 0
     blank = 0
     for key, n in weighted:
         if isinstance(key, tuple):
@@ -366,10 +366,7 @@ def condense_weighted(
             else:
                 blank += n
         elif isinstance(key, frozenset):
-            if key == everyone:
-                over3 += n
-            else:
-                over2[key] = over2.get(key, 0) + n
+            over2[key] = over2.get(key, 0) + n
         else:
             raise TypeError(f"not a profile key: {key!r}")
-    return CondensedProfile(tuple(roster), bullet, full, over2, over3, blank)
+    return CondensedProfile(tuple(roster), bullet, full, over2, 0, blank)

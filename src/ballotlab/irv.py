@@ -102,15 +102,10 @@ def tabulate_irv(profile: CondensedProfile, *, break_ties_by_roster: bool = Fals
 def irv_percentages(outcome: IrvOutcome) -> tuple[RoundShares, ...]:
     """Vote shares per round against both denominators (exact fractions)."""
     round1_active = outcome.rounds[0].active_ballots
-    shares = []
-    for rnd in outcome.rounds:
-        shares.append(
-            RoundShares(
-                of_active={c: Fraction(n, rnd.active_ballots) for c, n in rnd.tallies.items()},
-                of_round1={c: Fraction(n, round1_active) for c, n in rnd.tallies.items()},
-            )
-        )
-    return tuple(shares)
+    return tuple(RoundShares(
+        of_active={c: Fraction(n, rnd.active_ballots) for c, n in rnd.tallies.items()},
+        of_round1={c: Fraction(n, round1_active) for c, n in rnd.tallies.items()},
+    ) for rnd in outcome.rounds)
 
 
 # The command-line report builder: (parsed arguments, profile) -> Report.

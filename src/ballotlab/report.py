@@ -158,16 +158,14 @@ def _emit_json_lines(report: Report) -> bytes:
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
 
 
-def emit_range_plot_data(minimum: dict[str, int], profile, *, star: bool = False) -> bytes:
+def emit_range_plot_data(minimum: dict[str, int], profile, span: int) -> bytes:
     """Long-form CSV decomposing each candidate's score range for plotting.
 
     One ``base`` row per candidate (their guaranteed support) and one
-    ``potential`` row per rival whose first-place voters could add more.
-    A candidate's rows always sum to their range maximum.  For the STAR
-    model each second-choice vote spans 3 extra stars (from the 1-star
-    floor to the 4-star cap); for approval it spans 1 extra vote.
+    ``potential`` row per rival whose first-place voters could add ``span``
+    each, the scale's cap less its floor (1 approval, or 3 of STAR's 1-4
+    stars), so a candidate's rows always sum to their range maximum.
     """
-    span = 3 if star else 1
     report = Report("", tuple(map(Column, ("candidate", "segment", "source", "value"))))
     for c in profile.candidates:
         report.add(c, "base", "", minimum[c])

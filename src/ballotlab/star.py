@@ -189,7 +189,7 @@ def sweep_star(profile: CondensedProfile, grid_step, *, start=STAR.low,
 
 # Command-line report builders: (parsed arguments, profile) -> Report.
 def range_report(args, profile: CondensedProfile) -> Report | bytes:
-    return range_table(args, profile, star_range, "STAR voting: possible score ranges", star=True)
+    return range_table(args, profile, STAR, "STAR voting: possible score ranges")
 
 
 def eval_report(args, profile: CondensedProfile) -> Report:

@@ -186,6 +186,39 @@ class TestDispatchAndErrors:
         assert (code, err) == (0, "")
         assert row in out
 
+    @pytest.mark.parametrize("argv, rows", [
+        (["approval", "eval", "--p-group", "Lee>Park>Begich=1/2"], ["score Begich,7/2\n"]),
+        (["star", "eval", "--s-group", "Lee>Park>Begich=2"], ["score Begich,15\n"]),
+        (["approval", "clinch", "--candidate", "Begich", "--group", "Lee>Park>Begich"],
+         ["group,Lee>Park>Begich\n", "group_size,5\n", "required_votes,5\n"]),
+    ])
+    def test_group_names_a_candidate_holding_a_greater_than_sign(self, capsys, tmp_path, argv,
+                                                                  rows):
+        """A raw CVR may name a candidate ``Lee>Park``; a group flag reads it as the roster does."""
+        path = tmp_path / "raw.json"
+        path.write_text(json.dumps({"candidates": ["Lee>Park", "Begich", "Peltola"], "ballots": [
+            *[[["Lee>Park"], ["Begich"], []]] * 5, [["Begich"], [], []],
+            *[[["Peltola"], [], []]] * 2]}))
+        code, out, err = invoke(capsys, *argv[:2], str(path), *argv[2:], "--format", "csv")
+        assert (code, err) == (0, "")
+        for row in rows:
+            assert row in out
+
+    @pytest.mark.parametrize("argv", [
+        ["approval", "eval", "--p-group", "A>A>A=1/2"],
+        ["star", "eval", "--s-group", "A>A>A=2"],
+        ["approval", "clinch", "--candidate", "A", "--group", "A>A>A"],
+    ])
+    def test_group_with_two_readings_is_usage_error(self, capsys, tmp_path, argv):
+        """On the roster ``A``, ``A>A``, ``B``, ``A>A>A`` is ``A`` then ``A>A`` or the reverse."""
+        path = tmp_path / "raw.json"
+        path.write_text(json.dumps({"candidates": ["A", "A>A", "B"], "ballots": [
+            [["A"], ["A>A"], []], [["A>A"], ["A"], []], [["B"], [], []]]}))
+        code, out, err = invoke(capsys, *argv[:2], str(path), *argv[2:])
+        assert (code, out) == (2, "")
+        assert err == ("error: group A>A>A is ambiguous: it reads as 'A' then 'A>A', "
+                       "or as 'A>A' then 'A'\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["approval", "threshold", "--riser", "Begich", "--leader", "Begich"],
          "riser and leader must differ"),
@@ -333,14 +366,14 @@ class TestRosterRule:
 
     def test_approval_range_on_two_candidates(self, capsys, tmp_path):
         argv = ("approval", "range", self.profile(tmp_path, self.TWO), "--format", "csv")
-        assert invoke(capsys, *argv) == (0, "candidate,min,max\nA,6,10\nB,7,9\n", "")
+        assert invoke(capsys, *argv) == (0, "candidate,min,max\nA,5,9\nB,6,8\n", "")
 
     def test_star_plot_data_on_two_candidates(self, capsys, tmp_path):
         argv = ("star", "range", self.profile(tmp_path, self.TWO), "--plot-data")
         assert invoke(capsys, *argv) == (0, (
             "candidate,segment,source,value\n"
-            "A,base,,34\nA,potential,B,12\n"
-            "B,base,,37\nB,potential,A,6\n"
+            "A,base,,29\nA,potential,B,12\n"
+            "B,base,,32\nB,potential,A,6\n"
         ), "")
 
     @pytest.mark.parametrize("command", SCORING, ids=" ".join)
@@ -366,6 +399,32 @@ class TestRosterRule:
         code, out, err = invoke(capsys, *argv)
         assert (code, err) == (0, "")
         assert "threshold_stars,163/50\nachieved_score,951/25\nrival_maximum,38\n" in out
+
+
+class TestOneSpelling:
+    """With two candidates, a top overvote of both is all-way however it is spelled:
+    ``over2:A+B``, ``over3:A+B`` and a raw ballot marking both at the top give the same bytes."""
+
+    ROWS = "pattern,count\nbullet:A,3\nbullet:B,2\nfull:A>B,2\nfull:B>A,4\n"
+    BALLOTS = [*[[["A"], []]] * 3, *[[["B"], []]] * 2, *[[["A"], ["B"]]] * 2,
+               *[[["B"], ["A"]]] * 4, *[[["A", "B"], []]] * 3]
+    COMMANDS = [  # (command path, flags)
+        (["irv"], []), (["pairwise"], ["--basis", "include-ties"]), (["approval", "range"], []),
+        (["approval", "range"], ["--plot-data"]), (["approval", "eval"], ["--p", "1/2"]),
+        (["star", "range"], []), (["star", "eval"], ["--s", "2"]),
+    ]
+
+    @pytest.mark.parametrize("path, flags", COMMANDS, ids=[" ".join(p + f) for p, f in COMMANDS])
+    def test_spellings_give_the_same_bytes(self, capsys, tmp_path, path, flags):
+        (tmp_path / "over2.csv").write_text(self.ROWS + "over2:A+B,3\n")
+        (tmp_path / "over3.csv").write_text(self.ROWS + "over3:A+B,3\n")
+        (tmp_path / "raw.json").write_text(json.dumps({"candidates": ["A", "B"],
+                                                       "ballots": self.BALLOTS}))
+        outputs = {}
+        for name in ("over2.csv", "over3.csv", "raw.json"):
+            outputs[name] = invoke(capsys, *path, str(tmp_path / name), *flags, "--format", "csv")
+        assert outputs["over2.csv"] == outputs["over3.csv"] == outputs["raw.json"]
+        assert outputs["raw.json"][:1] == (0,)
 
 
 class TestCommandOutputs:

@@ -289,6 +289,18 @@ class TestCondensedRoundTrips:
         assert condense(expand(profile), profile.candidates) == profile
 
 
+class TestWholeRosterOvervote:
+    @given(named_profiles(), counts)
+    def test_whole_roster_in_over2_is_all_way(self, profile, n):
+        """On 2 or 3 candidates, the whole roster given in ``over2`` counts as ``over3``."""
+        roster = profile.candidates
+        assume(len(roster) <= 3)
+        ranked = (roster, profile.bullet, profile.full)
+        assert CondensedProfile(
+            *ranked, {**profile.over2, frozenset(roster): n}, profile.over3, profile.blank_count
+        ) == CondensedProfile(*ranked, profile.over2, profile.over3 + n, profile.blank_count)
+
+
 class TestTopChoices:
     @given(named_profiles())
     def test_matches_per_ballot_count_for_every_ordered_subset(self, profile):

@@ -127,6 +127,7 @@ class TestRangePlotData:
         out = emit_range_plot_data(
             {"Begich": 54157, "Palin": 59055, "Peltola": 75895},
             alaska_profile,
+            1,
         ).decode()
         lines = out.splitlines()
         assert lines[0] == "candidate,segment,source,value"
@@ -138,7 +139,7 @@ class TestRangePlotData:
         out = emit_range_plot_data(
             {"Begich": 352331, "Palin": 327260, "Peltola": 398730},
             alaska_profile,
-            star=True,
+            3,
         ).decode()
         assert "Begich,potential,Palin,102351" in out     # 3 x 34,117
         assert "Begich,potential,Peltola,142287" in out   # 3 x 47,429
@@ -147,7 +148,7 @@ class TestRangePlotData:
         from ballotlab import approval_range
 
         rng = approval_range(alaska_profile)
-        out = emit_range_plot_data(rng.minimum, alaska_profile).decode()
+        out = emit_range_plot_data(rng.minimum, alaska_profile, 1).decode()
         totals: dict[str, int] = {}
         for line in out.splitlines()[1:]:
             candidate, _, _, value = line.split(",")
