@@ -194,9 +194,9 @@ def evaluate_approval(profile: CondensedProfile, scenario: ApprovalScenario) -> 
     guaranteed = sum(profile.first_place_totals(include_top_ties=True).values())
     second_approvals = total_approvals - guaranteed
 
-    rankers = sum(profile.full.values())
+    rankers = sum(n for prefs, n in profile.rankings() if len(prefs) > 1)
     mean_rankers = 1 + second_approvals / rankers if rankers else Fraction(1)
-    participating = profile.total_valid_ranked + sum(profile.over2.values())
+    participating = profile.total_with_preference
     mean_all = total_approvals / participating if participating else Fraction(0)
 
     return ApprovalOutcome(

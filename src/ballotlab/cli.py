@@ -128,7 +128,7 @@ def _provenance(argv: Sequence[str], data: bytes) -> str:
 
 # The one builder that is not a model's: ``ingest`` writes the profile CSV.
 def _ingest(args: argparse.Namespace, profile: CondensedProfile) -> bytes:
-    later = sum(n for prefs, n in profile.full.items() if len(prefs) > 2)
+    later = sum(n for prefs, n in profile.rankings() if len(prefs) > 2)
     if later:  # the CSV keeps two choices per ranking
         print(f"warning: {later} {'ballot ranks' if later == 1 else 'ballots rank'} a "
               "candidate after the second choice; the first-and-second-choice profile drops "

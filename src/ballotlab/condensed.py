@@ -1,8 +1,9 @@
 """The condensed profile file: read and write.
 
-UTF-8 CSV with header ``pattern,count`` and one row per preference
-pattern: ``blank`` or a ``kind:names`` row read through one table,
-``_PATTERNS``: ``bullet:<C>``, ``full:<C1>><C2>``, ``over2:<C1>+<C2>`` and
+UTF-8 CSV with header ``pattern,count`` and one row per key of the
+profile's ``counts``: ``blank`` for ``()``, or a ``kind:names`` row read
+through one table, ``_PATTERNS``: rankings ``bullet:<C>`` and
+``full:<C1>><C2>``, overvote sets ``over2:<C1>+<C2>`` and
 ``over3:<C1>+...+<Cn>`` (the whole roster).  Missing patterns read as
 zero.  Candidate names must not contain ``,``, ``>``, ``+`` or a line
 break: LF, CR, VT, FF, FS, GS, RS, NEL, LS or PS, each character
@@ -86,9 +87,9 @@ def parse_condensed(data: bytes) -> CondensedProfile:
         kind, colon, spelled = token.partition(":")
         sep, arity = _PATTERNS.get(kind, (None, 0)) if colon else (None, 0)
         names = spelled.split(sep) if sep else [spelled]
-        # A pattern, not its spelling: over2 names a set, and over3 (arity 0) is one pattern.
-        key = (kind, arity and frozenset(names)) if sep == "+" else token
-        if key in seen:
+        # A row's profile key: an overvote row's set, whichever kind spells it; one over3 row.
+        key = frozenset(names) if sep == "+" else token
+        if key in seen or (sep == "+" and not arity and everyone is not None):
             raise ParseError(f"line {line_no}: duplicate pattern {token!r}")
         seen.add(key)
         count = _parse_count(raw_count, line_no)
@@ -126,13 +127,16 @@ def write_condensed(profile: CondensedProfile) -> bytes:
     for c in profile.candidates:
         lines.append(f"bullet:{_check_name(c)},{profile.bullet_count(c)}")
     heads = dict.fromkeys(profile.ranking_groups(), 0)
-    for prefs, n in profile.full.items():
-        heads[prefs[:2]] += n
+    for prefs, n in profile.rankings():
+        if len(prefs) > 1:
+            heads[prefs[:2]] += n
     for (first, second), n in heads.items():
         lines.append(f"full:{first}>{second},{n}")
-    for a, b in profile.candidate_pairs():
-        lines.append(f"over2:{a}+{b},{profile.over2_count(a, b)}")
+    if len(profile.candidates) > 2:  # two names of two are the all-way over3 row
+        for a, b in profile.candidate_pairs():
+            lines.append(f"over2:{a}+{b},{profile.over2_count(a, b)}")
     if len(profile.candidates) >= 2:
-        lines.append(f"over3:{'+'.join(profile.candidates)},{profile.over3}")
+        everyone = profile.counts.get(frozenset(profile.candidates), 0)
+        lines.append(f"over3:{'+'.join(profile.candidates)},{everyone}")
     lines.append(f"blank,{profile.blank_count}")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -64,7 +64,7 @@ def pairwise_tallies(profile: CondensedProfile, basis: str = RANKED_ONLY) -> Pai
         raise ValueError(f"unknown basis {basis!r}")
 
     include_ties = basis == INCLUDE_TIES
-    total = profile.total_valid_ranked + (sum(profile.over2.values()) if include_ties else 0)
+    total = profile.total_with_preference if include_ties else profile.total_valid_ranked
     prefers: dict[tuple[str, str], int] = {}
     no_preference: dict[frozenset[str], int] = {}
     for a, b in profile.candidate_pairs():

@@ -6,8 +6,9 @@ every ballot collapses to a profile key (:func:`classify_ballot`): its
 ranking's names, top first (one for a bullet vote), its top-rank
 overvote's set, or ``()`` for a blank.  In a three-candidate race a
 ranking is a (first, second) pair with the third candidate implied last,
-so a :class:`CondensedProfile` stores 13 integers; it is the input every
-tabulation in this package runs on.
+so a :class:`CondensedProfile` maps at most 14 keys (13 patterns and the
+blank) to their ballot counts; it is the input every tabulation in this
+package runs on.
 
 Every other value type of the package is a :class:`Record`, a slotted
 class that compares, hashes and reprs by value and generates no code.
@@ -194,52 +195,39 @@ def classify_ballot(ballot: RankedBallot, roster: Sequence[str]) -> ProfileKey:
 
 
 class CondensedProfile(Record):
-    """Counts of ballots by preference pattern for one race.
+    """Ballot counts by profile key for one race.
 
-    ``full`` counts rankings, top first, of 2 to max(2, N - 1) of the N
-    candidates, the last being implied.  Construction drops zero counts and
-    moves an ``over2`` set of the whole roster to ``over3`` (all-way), so
-    profiles compare equal however spelled.  All counts must be nonnegative
-    and refer only to roster candidates.  Tabulations read rankings through
+    ``counts`` maps each :func:`classify_ballot` key to its number of
+    ballots: a ranking of 1 to max(2, N - 1) distinct roster names, top
+    first, the last being implied (one name is a bullet vote); a top
+    overvote's set, two roster names or the whole roster (all-way, however
+    it was counted); ``()`` for a blank.  Counts must be nonnegative
+    integers, and construction drops zero counts, so profiles compare
+    equal however spelled.  Tabulations read rankings through
     :meth:`rankings`, and count each one for its highest-ranked candidate
     among those in play through :meth:`top_choices`.
     """
 
     candidates: tuple[str, ...]
-    bullet: dict[str, int]
-    full: dict[tuple[str, ...], int]
-    over2: dict[frozenset[str], int]
-    over3: int = 0
-    blank_count: int = 0
+    counts: dict[ProfileKey, int]
 
     def __post_init__(self) -> None:
         roster = validate_roster(self.candidates)
-        object.__setattr__(self, "candidates", roster)
+        _set(self, "candidates", roster)
         roster_set = frozenset(roster)
-
-        for c in self.bullet:
-            if c not in roster_set:
-                raise ValueError(f"bullet pattern names non-roster candidate {c!r}")
         depth = max(2, len(roster) - 1)
-        for prefs in self.full:
-            if not 2 <= len(set(prefs)) == len(prefs) <= depth:
-                raise ValueError(f"full pattern {prefs!r} needs 2 to {depth} distinct names")
-            if not roster_set.issuperset(prefs):
-                raise ValueError(f"full pattern {prefs!r} leaves the roster")
-        for pair in self.over2:
-            if len(pair) < 2 or not (pair == roster_set or len(pair) == 2 and pair <= roster_set):
-                raise ValueError(f"overvote pair {sorted(pair)!r} is invalid")
-
-        for count in (*self.bullet.values(), *self.full.values(),
-                      *self.over2.values(), self.over3, self.blank_count):
-            if not isinstance(count, int) or count < 0:
-                raise ValueError(f"pattern counts must be nonnegative integers, got {count!r}")
-
-        object.__setattr__(self, "bullet", {c: n for c, n in self.bullet.items() if n})
-        object.__setattr__(self, "full", {g: n for g, n in self.full.items() if n})
-        object.__setattr__(self, "over3", self.over3 + self.over2.get(roster_set, 0))
-        object.__setattr__(self, "over2", {p: n for p, n in self.over2.items()
-                                           if n and p != roster_set})
+        for key, n in self.counts.items():
+            if isinstance(key, tuple):
+                if not (len(set(key)) == len(key) <= depth and roster_set.issuperset(key)):
+                    raise ValueError(f"ranking {key!r} needs at most {depth} distinct roster names")
+            elif not isinstance(key, frozenset):
+                raise ValueError(f"not a profile key: {key!r}")
+            elif len(key) < 2 or not (key == roster_set or len(key) == 2 and key <= roster_set):
+                raise ValueError(f"overvote {sorted(key)!r} is neither two roster names "
+                                 "nor the whole roster")
+            if not isinstance(n, int) or n < 0:
+                raise ValueError(f"pattern counts must be nonnegative integers, got {n!r}")
+        _set(self, "counts", {key: n for key, n in self.counts.items() if n})
 
     # -- totals ---------------------------------------------------------
 
@@ -250,23 +238,33 @@ class CondensedProfile(Record):
 
     @property
     def total_overvotes(self) -> int:
-        return sum(self.over2.values()) + self.over3
+        return sum(n for key, n in self.counts.items() if isinstance(key, frozenset))
 
     @property
     def total_with_any_mark(self) -> int:
-        return self.total_valid_ranked + self.total_overvotes
+        return sum(n for key, n in self.counts.items() if key)
+
+    @property
+    def total_with_preference(self) -> int:
+        """Ballots ranking someone above someone: rankings and two-way top overvotes."""
+        return self.total_valid_ranked + sum(n for _, n in self.two_way_overvotes())
+
+    @property
+    def blank_count(self) -> int:
+        return self.counts.get((), 0)
 
     # -- accessors ------------------------------------------------------
 
     def bullet_count(self, candidate: str) -> int:
-        return self.bullet.get(candidate, 0)
+        return self.counts.get((candidate,), 0)
 
     def full_count(self, first: str, second: str) -> int:
         """Rankings whose first two names are ``first`` then ``second``."""
-        return sum(n for prefs, n in self.full.items() if prefs[:2] == (first, second))
+        return sum(n for prefs, n in self.rankings() if prefs[:2] == (first, second))
 
     def over2_count(self, a: str, b: str) -> int:
-        return self.over2.get(frozenset((a, b)), 0)
+        """Two-way top overvotes of ``a`` and ``b``; on two candidates the pair is all-way."""
+        return self.counts.get(frozenset((a, b)), 0) if len(self.candidates) > 2 else 0
 
     def ranking_groups(self) -> tuple[tuple[str, str], ...]:
         """All (first, second) groups in roster order, zero counts included."""
@@ -288,9 +286,13 @@ class CondensedProfile(Record):
     # -- tallies --------------------------------------------------------
 
     def rankings(self) -> list[tuple[tuple[str, ...], int]]:
-        """Each valid ranked pattern as ``(preferences, count)``: ``((c,), n)``
-        for a bullet, the ranking's names top first for a full ranking."""
-        return [((c,), n) for c, n in self.bullet.items()] + list(self.full.items())
+        """Each ranking as ``(preferences, count)``, top first: ``((c,), n)`` for a bullet."""
+        return [(key, n) for key, n in self.counts.items() if key and isinstance(key, tuple)]
+
+    def two_way_overvotes(self) -> list[tuple[frozenset[str], int]]:
+        """Each two-way top overvote as ``(pair, count)``: a set short of the whole roster."""
+        return [(key, n) for key, n in self.counts.items()
+                if isinstance(key, frozenset) and len(key) < len(self.candidates)]
 
     def first_place_totals(self, include_top_ties: bool = False) -> dict[str, int]:
         """First-choice support per candidate.
@@ -301,7 +303,7 @@ class CondensedProfile(Record):
         """
         totals = self.top_choices(self.candidates)
         if include_top_ties:
-            for pair, n in self.over2.items():
+            for pair, n in self.two_way_overvotes():
                 for c in pair:
                     totals[c] += n
         return totals
@@ -337,7 +339,7 @@ class CondensedProfile(Record):
         """
         votes = self.top_choices((a, b))
         if include_ties:
-            for pair, n in self.over2.items():
+            for pair, n in self.two_way_overvotes():
                 if (a in pair) != (b in pair):
                     votes[a if a in pair else b] += n
         return votes[a], votes[b]
@@ -351,22 +353,11 @@ def condense(keys: Iterable[ProfileKey], roster: Sequence[str]) -> CondensedProf
 def condense_weighted(
     weighted: Iterable[tuple[ProfileKey, int]], roster: Sequence[str]
 ) -> CondensedProfile:
-    """Count ``(profile key, number of ballots)`` pairs into a profile, each
-    overvote set under ``over2``; a value of another type raises :class:`TypeError`."""
-    bullet: dict[str, int] = {}
-    full: dict[tuple[str, ...], int] = {}
-    over2: dict[frozenset[str], int] = {}
-    blank = 0
+    """Sum ``(profile key, number of ballots)`` pairs into a profile; a key of
+    another type raises :class:`TypeError`."""
+    counts: dict[ProfileKey, int] = {}
     for key, n in weighted:
-        if isinstance(key, tuple):
-            if len(key) > 1:
-                full[key] = full.get(key, 0) + n
-            elif key:
-                bullet[key[0]] = bullet.get(key[0], 0) + n
-            else:
-                blank += n
-        elif isinstance(key, frozenset):
-            over2[key] = over2.get(key, 0) + n
-        else:
+        if not isinstance(key, (tuple, frozenset)):
             raise TypeError(f"not a profile key: {key!r}")
-    return CondensedProfile(tuple(roster), bullet, full, over2, 0, blank)
+        counts[key] = counts.get(key, 0) + n
+    return CondensedProfile(tuple(roster), counts)

@@ -27,7 +27,7 @@ from ballotlab.core import is_write_in, validate_roster
 
 def zero_profile(candidates) -> CondensedProfile:
     """A profile over ``candidates`` that counts no ballot."""
-    return CondensedProfile(tuple(candidates), {}, {}, {})
+    return CondensedProfile(tuple(candidates), {})
 
 
 def ranked_ballot(ranks) -> RankedBallot:
@@ -46,8 +46,13 @@ def expand_ballots(profile: CondensedProfile) -> list[tuple]:
     for i, a in enumerate(profile.candidates):
         for b in profile.candidates[i + 1:]:
             ballots += [("over2", a, b)] * profile.over2_count(a, b)
-    ballots += [("over3",)] * profile.over3
+    ballots += [("over3",)] * all_way(profile)
     return ballots
+
+
+def all_way(profile: CondensedProfile) -> int:
+    """The profile's all-way top overvotes: the count of its whole roster's set."""
+    return profile.counts.get(frozenset(profile.candidates), 0)
 
 
 def expand(profile: CondensedProfile) -> list:
@@ -61,14 +66,7 @@ def scaled(profile: CondensedProfile, factor: int) -> CondensedProfile:
     """The profile with every count multiplied by a positive integer."""
     if factor < 1:
         raise ValueError("scale factor must be a positive integer")
-    return CondensedProfile(
-        candidates=profile.candidates,
-        bullet={c: n * factor for c, n in profile.bullet.items()},
-        full={g: n * factor for g, n in profile.full.items()},
-        over2={p: n * factor for p, n in profile.over2.items()},
-        over3=profile.over3 * factor,
-        blank_count=profile.blank_count * factor,
-    )
+    return CondensedProfile(profile.candidates, {k: n * factor for k, n in profile.counts.items()})
 
 
 def _rank(ballot: tuple, candidate: str):
@@ -332,25 +330,13 @@ def random_profile(
 ) -> CondensedProfile:
     """A random 3-candidate profile of at most ``max_ballots`` ballots."""
     patterns = [p for p in _PATTERNS_3 if allow_overvotes or not p[0].startswith("over")]
-    bullet: dict[str, int] = {}
-    full: dict[tuple[str, str], int] = {}
-    over2: dict[frozenset, int] = {}
-    over3 = 0
+    counts: dict = {}
     for _ in range(rng.randint(0, max_ballots)):
-        pattern = rng.choice(patterns)
-        kind = pattern[0]
-        if kind == "bullet":
-            c = candidates[pattern[1]]
-            bullet[c] = bullet.get(c, 0) + 1
-        elif kind == "full":
-            g = (candidates[pattern[1]], candidates[pattern[2]])
-            full[g] = full.get(g, 0) + 1
-        elif kind == "over2":
-            pair = frozenset((candidates[pattern[1]], candidates[pattern[2]]))
-            over2[pair] = over2.get(pair, 0) + 1
-        else:
-            over3 += 1
-    return CondensedProfile(candidates, bullet, full, over2, over3)
+        kind, *positions = rng.choice(patterns)
+        names = [candidates[i] for i in positions]
+        key = tuple(names) if kind in ("bullet", "full") else frozenset(names or candidates)
+        counts[key] = counts.get(key, 0) + 1
+    return CondensedProfile(candidates, counts)
 
 
 def whole_ranking(ranks, roster) -> tuple[str, ...] | None:

@@ -26,7 +26,7 @@ class TestApprovalRange:
         assert rng.maximum == {"Begich": 135703, "Palin": 91040, "Peltola": 95150}
 
     def test_all_bullets_min_equals_max(self):
-        profile = CondensedProfile(ABC, {"A": 4, "B": 2, "C": 1}, {}, {})
+        profile = CondensedProfile(ABC, {("A",): 4, ("B",): 2, ("C",): 1})
         rng = approval_range(profile)
         assert rng.minimum == rng.maximum == {"A": 4, "B": 2, "C": 1}
 
@@ -163,9 +163,7 @@ class TestClinch:
         assert 54157 + needed == 95151  # one past Peltola's best possible 95,150
 
     def test_already_clinched_needs_nothing(self):
-        profile = CondensedProfile(
-            ABC, {"A": 100, "B": 1, "C": 1}, {("B", "A"): 1}, {}
-        )
+        profile = CondensedProfile(ABC, {("A",): 100, ("B",): 1, ("C",): 1, ("B", "A"): 1})
         assert min_second_votes_to_clinch(profile, "A", ("B", "A")) == 0
 
     def test_palin_cannot_clinch_from_begich_rankers(self, alaska_profile):
@@ -180,7 +178,7 @@ class TestClinch:
             min_second_votes_to_clinch(alaska_profile, "Palin", ("Begich", "Palin"))
 
     def test_shortfall_of_a_one_voter_group_says_voter(self):
-        profile = CondensedProfile(ABC, {"A": 10, "B": 1, "C": 1}, {("A", "B"): 1}, {})
+        profile = CondensedProfile(ABC, {("A",): 10, ("B",): 1, ("C",): 1, ("A", "B"): 1})
         with pytest.raises(UnattainableError, match="the A>B group has only 1 voter$"):
             min_second_votes_to_clinch(profile, "B", ("A", "B"))
 
@@ -211,7 +209,7 @@ class TestSweep:
         assert all("Palin" not in winners for winners in points.values())
 
     def test_all_bullets_never_changes(self):
-        profile = CondensedProfile(ABC, {"A": 3, "B": 1, "C": 1}, {}, {})
+        profile = CondensedProfile(ABC, {("A",): 3, ("B",): 1, ("C",): 1})
         points = sweep_uniform(profile, Fraction(1, 4))
         assert [w for _, w in points] == [("A",)] * 5
 

@@ -426,6 +426,15 @@ class TestOneSpelling:
         assert outputs["over2.csv"] == outputs["over3.csv"] == outputs["raw.json"]
         assert outputs["raw.json"][:1] == (0,)
 
+    def test_ingest_writes_the_all_way_pattern_once(self, capsys, tmp_path):
+        """The CSV ``ingest`` writes holds one row per pattern, so it reads back."""
+        raw, out = tmp_path / "raw.json", tmp_path / "profile.csv"
+        raw.write_text(json.dumps({"candidates": ["A", "B"], "ballots": self.BALLOTS}))
+        assert invoke(capsys, "ingest", str(raw), "--out", str(out))[0] == 0
+        assert out.read_text() == self.ROWS + "over3:A+B,3\nblank,0\n"
+        csv = ("--format", "csv")
+        assert invoke(capsys, "irv", str(out), *csv) == invoke(capsys, "irv", str(raw), *csv)
+
 
 class TestCommandOutputs:
     def test_ingest_raw_document(self, capsys, tmp_path):

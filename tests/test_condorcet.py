@@ -59,15 +59,13 @@ class TestCondorcetWinnerLoser:
         assert report.loser == "Palin"
 
     def test_cycle_has_neither(self):
-        profile = CondensedProfile(
-            ABC, {}, {("A", "B"): 1, ("B", "C"): 1, ("C", "A"): 1}, {}
-        )
+        profile = CondensedProfile(ABC, {("A", "B"): 1, ("B", "C"): 1, ("C", "A"): 1})
         report = condorcet_winner_loser(pairwise_tallies(profile))
         assert report.winner is None
         assert report.loser is None
 
     def test_two_candidate_majority(self):
-        profile = CondensedProfile(("A", "B"), {"A": 3, "B": 2}, {}, {})
+        profile = CondensedProfile(("A", "B"), {("A",): 3, ("B",): 2})
         report = condorcet_winner_loser(pairwise_tallies(profile))
         assert report.winner == "A"
         assert report.loser == "B"
@@ -87,7 +85,7 @@ class TestCenterSqueeze:
         assert diag.condorcet_winner_eliminated_in_round == 1
 
     def test_agreeing_winner_is_not_squeezed(self):
-        profile = CondensedProfile(ABC, {"A": 3, "B": 1, "C": 1}, {}, {})
+        profile = CondensedProfile(ABC, {("A",): 3, ("B",): 1, ("C",): 1})
         diag = detect_center_squeeze(profile, break_ties_by_roster=True)
         assert diag.condorcet_winner == "A"
         assert diag.irv_winner == "A"
@@ -95,9 +93,7 @@ class TestCenterSqueeze:
         assert diag.condorcet_winner_eliminated_in_round is None
 
     def test_cycle_is_vacuously_unsqueezed(self):
-        profile = CondensedProfile(
-            ABC, {}, {("A", "B"): 4, ("B", "C"): 3, ("C", "A"): 2}, {}
-        )
+        profile = CondensedProfile(ABC, {("A", "B"): 4, ("B", "C"): 3, ("C", "A"): 2})
         assert condorcet_winner_loser(pairwise_tallies(profile)).winner is None
         diag = detect_center_squeeze(profile)
         assert diag.condorcet_winner is None
@@ -106,4 +102,4 @@ class TestCenterSqueeze:
 
 def test_unknown_basis_is_named():
     with pytest.raises(ValueError, match="^unknown basis 'both'$"):
-        pairwise_tallies(CondensedProfile(ABC, {"A": 1}, {}, {}), "both")
+        pairwise_tallies(CondensedProfile(ABC, {("A",): 1}), "both")

@@ -138,7 +138,7 @@ class TestCondense:
     @pytest.mark.parametrize("key", [frozenset(("Begich", "Palin", "Nobody")),
                                      frozenset(("Begich",))])
     def test_overvote_key_is_two_names_or_the_whole_roster(self, key):
-        with pytest.raises(ValueError, match="overvote pair"):
+        with pytest.raises(ValueError, match="is neither two roster names nor the whole roster"):
             condense([key], ROSTER)
 
     @pytest.mark.parametrize("key", ["Begich", ["Begich", "Palin"], {"Begich"}, None])
@@ -150,42 +150,61 @@ class TestCondense:
 class TestProfileValidation:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
-            CondensedProfile(ROSTER, {"Begich": -1}, {}, {})
+            CondensedProfile(ROSTER, {("Begich",): -1})
 
     def test_rejects_unknown_candidate(self):
         with pytest.raises(ValueError):
-            CondensedProfile(ROSTER, {"Nobody": 1}, {}, {})
+            CondensedProfile(ROSTER, {("Nobody",): 1})
 
-    def test_rejects_repeated_candidate_in_full(self):
+    def test_rejects_repeated_candidate_in_ranking(self):
         with pytest.raises(ValueError):
-            CondensedProfile(ROSTER, {}, {("Palin", "Palin"): 1}, {})
+            CondensedProfile(ROSTER, {("Palin", "Palin"): 1})
 
-    @pytest.mark.parametrize("full, over2, message", [
-        ({("Palin", "Nobody"): 1}, {}, "full pattern ('Palin', 'Nobody') leaves the roster"),
-        ({("Palin",): 1}, {}, "full pattern ('Palin',) needs 2 to 2 distinct names"),
-        ({("Palin", "Begich", "Peltola"): 1}, {},
-         "full pattern ('Palin', 'Begich', 'Peltola') needs 2 to 2 distinct names"),
-        ({}, {frozenset(["Palin"]): 1}, "overvote pair ['Palin'] is invalid"),
-        ({}, {frozenset(["Palin", "Nobody"]): 1}, "overvote pair ['Nobody', 'Palin'] is invalid"),
+    @pytest.mark.parametrize("key, message", [
+        (("Nobody",), "ranking ('Nobody',) needs at most 2 distinct roster names"),
+        (("Palin", "Nobody"),
+         "ranking ('Palin', 'Nobody') needs at most 2 distinct roster names"),
+        (("Palin", "Palin"), "ranking ('Palin', 'Palin') needs at most 2 distinct roster names"),
+        (("Palin", "Begich", "Peltola"),
+         "ranking ('Palin', 'Begich', 'Peltola') needs at most 2 distinct roster names"),
+        (frozenset(), "overvote [] is neither two roster names nor the whole roster"),
+        (frozenset(["Palin"]), "overvote ['Palin'] is neither two roster names nor the whole roster"),
+        (frozenset(["Palin", "Nobody"]),
+         "overvote ['Nobody', 'Palin'] is neither two roster names nor the whole roster"),
+        (frozenset([*ROSTER, "Nobody"]), "overvote ['Begich', 'Nobody', 'Palin', 'Peltola'] "
+         "is neither two roster names nor the whole roster"),
+        ("Palin", "not a profile key: 'Palin'"),
+        (None, "not a profile key: None"),
     ])
-    def test_invalid_pattern_is_named(self, full, over2, message):
+    def test_invalid_key_is_named(self, key, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            CondensedProfile(ROSTER, {}, full, over2)
+            CondensedProfile(ROSTER, {key: 1})
+
+    @pytest.mark.parametrize("count", [-1, 1.0, "1", None])
+    def test_invalid_count_is_named(self, count):
+        message = f"pattern counts must be nonnegative integers, got {count!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CondensedProfile(ROSTER, {("Palin",): count})
+
+    def test_an_invalid_key_is_refused_with_a_zero_count(self):
+        with pytest.raises(ValueError, match="needs at most 2 distinct roster names"):
+            CondensedProfile(ROSTER, {("Nobody",): 0})
 
     def test_a_ranking_names_at_most_all_but_one_candidate(self):
         roster = ("A", "B", "C", "D")
-        assert CondensedProfile(roster, {}, {("A", "B", "C"): 1}, {}).full_count("A", "B") == 1
-        with pytest.raises(ValueError, match="needs 2 to 3 distinct names"):
-            CondensedProfile(roster, {}, {("A", "B", "C", "D"): 1}, {})
+        assert CondensedProfile(roster, {("A", "B", "C"): 1}).full_count("A", "B") == 1
+        with pytest.raises(ValueError, match="needs at most 3 distinct roster names"):
+            CondensedProfile(roster, {("A", "B", "C", "D"): 1})
 
     def test_rejects_duplicate_roster_names(self):
         with pytest.raises(ValueError):
-            CondensedProfile(("A", " A "), {}, {}, {})
+            CondensedProfile(("A", " A "), {})
 
     def test_zero_counts_do_not_affect_equality(self):
-        explicit = CondensedProfile(ROSTER, {"Begich": 0, "Palin": 2}, {}, {})
-        sparse = CondensedProfile(ROSTER, {"Palin": 2}, {}, {})
+        explicit = CondensedProfile(ROSTER, {("Begich",): 0, ("Palin",): 2, (): 0})
+        sparse = CondensedProfile(ROSTER, {("Palin",): 2})
         assert explicit == sparse
+        assert explicit.counts == {("Palin",): 2}
 
 
 class TestTotals:
@@ -208,7 +227,7 @@ class TestTotals:
         assert totals == {"Begich": 81546, "Palin": 31985, "Peltola": 19255}
 
     def test_second_place_all_bullets(self):
-        profile = CondensedProfile(ROSTER, {"Begich": 5, "Peltola": 2}, {}, {})
+        profile = CondensedProfile(ROSTER, {("Begich",): 5, ("Peltola",): 2})
         assert profile.second_place_totals() == {c: 0 for c in ROSTER}
 
     def test_second_place_bounded_by_other_firsts(self, alaska_profile):
@@ -220,4 +239,4 @@ class TestTotals:
     def test_scaled(self, alaska_profile):
         doubled = scaled(alaska_profile, 2)
         assert doubled.total_valid_ranked == 2 * alaska_profile.total_valid_ranked
-        assert doubled.over3 == 112
+        assert doubled.counts[frozenset(ROSTER)] == 112

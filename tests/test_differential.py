@@ -163,7 +163,7 @@ def test_readme_commands_match_the_reference(doc):
 @given(raw_cvrs(size=2))
 def test_readme_commands_match_the_reference_on_two_candidates(doc):
     """A top overvote of both candidates is all-way, in the CVR and in the CSV
-    ``ingest`` writes from it (``over2:A+B,0`` then ``over3:A+B``)."""
+    ``ingest`` writes from it (one ``over3:A+B`` row, no ``over2`` row)."""
     _check_cvr_and_its_csv(doc)
 
 

@@ -429,7 +429,7 @@ class TestClassifyOncePerRosterOnlyGrid:
             [["A"], ["B"], []],
         ]))
         assert len(set(map(id, doc.ballots))) == 5
-        assert ingest(doc) == CondensedProfile(("A", "B", "C"), {}, {("A", "B"): 7}, {})
+        assert ingest(doc) == CondensedProfile(("A", "B", "C"), {("A", "B"): 7})
         assert grids == [(frozenset("A"), frozenset("B"))]
 
     def test_each_distinct_pattern_is_classified_in_order_of_first_appearance(self, monkeypatch):
@@ -461,8 +461,8 @@ class TestClassifyOncePerRosterOnlyGrid:
             [["A", "WRITEIN:y"], ["WRITEIN:z", "B"], []],
             [["C"], ["WRITEIN:q"], ["A"]],
         ]))
-        assert profile == CondensedProfile(("A", "B", "C"), {"B": 1},
-                                           {("A", "B"): 3, ("C", "A"): 2}, {})
+        assert profile == CondensedProfile(("A", "B", "C"),
+                                           {("B",): 1, ("A", "B"): 3, ("C", "A"): 2})
         assert grids == [(frozenset("C"), frozenset("A")), (frozenset("A"), frozenset("B")),
                          (frozenset("B"),)]
 
@@ -502,6 +502,14 @@ class TestCondensedFile:
         assert run(["pairwise", str(path), "--basis", "include-ties"]) == 2
         assert capsys.readouterr() == ("", "error: line 4: duplicate pattern 'over2:B+A'\n")
 
+    def test_whole_roster_counted_twice_is_refused(self, capsys, tmp_path):
+        """On two candidates ``over2:A+B`` and ``over3:A+B`` are one pattern, the all-way
+        overvote: a file holding both is refused, not summed."""
+        path = tmp_path / "profile.csv"
+        path.write_text("pattern,count\nbullet:A,3\nover2:A+B,1\nover3:A+B,2\n")
+        assert run(["approval", "range", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: line 4: duplicate pattern 'over3:A+B'\n")
+
     def test_negative_count(self):
         with pytest.raises(ParseError, match="negative"):
             parse_condensed(b"pattern,count\nbullet:A,-4\n")
@@ -540,6 +548,10 @@ class TestCondensedFile:
                      id="second-over3"),
         pytest.param("over2:A+B,1\nover2:B+A+A,2", "line 3: duplicate pattern 'over2:B+A+A'",
                      id="duplicate-before-malformed"),
+        pytest.param("bullet:A,3\nover2:A+B,1\nover3:A+B,2",
+                     "line 4: duplicate pattern 'over3:A+B'", id="over2-then-over3-of-two"),
+        pytest.param("over3:A+B,2\nover2:B+A,1", "line 3: duplicate pattern 'over2:B+A'",
+                     id="over3-then-over2-of-two"),
         pytest.param("over3:A+B,1\nover3,0", "line 3: unknown pattern 'over3'",
                      id="bare-over3-after-over3"),
         pytest.param("bullet:A,x", "line 2: count 'x' is not an integer", id="count-not-integer"),
@@ -659,7 +671,7 @@ class TestLoneSurrogateNames:
 
     def test_profile_raises_value_error(self):
         with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE)}$"):
-            CondensedProfile(("A\ud800", "B", "C"), {}, {}, {})
+            CondensedProfile(("A\ud800", "B", "C"), {})
 
 
 class TestShippedFixture:

@@ -15,7 +15,7 @@ ABC = ("A", "B", "C")
 
 
 def bullets(**counts) -> CondensedProfile:
-    return CondensedProfile(ABC, dict(counts), {}, {})
+    return CondensedProfile(ABC, {(c,): n for c, n in counts.items()})
 
 
 class TestAlaska:
@@ -64,9 +64,7 @@ class TestSmallProfiles:
         assert outcome.rounds[0].tallies["A"] == 3
 
     def test_exact_half_is_not_a_majority(self):
-        profile = CondensedProfile(
-            ABC, {"A": 3, "C": 1}, {("B", "A"): 2}, {}
-        )
+        profile = CondensedProfile(ABC, {("A",): 3, ("C",): 1, ("B", "A"): 2})
         outcome = tabulate_irv(profile)
         # A holds exactly half in round 1, so elimination must continue.
         assert outcome.rounds[0].eliminated == "C"
@@ -85,7 +83,7 @@ class TestSmallProfiles:
         assert outcome.winner == "C"
 
     def test_single_candidate_race(self):
-        profile = CondensedProfile(("A",), {"A": 7}, {}, {})
+        profile = CondensedProfile(("A",), {("A",): 7})
         outcome = tabulate_irv(profile)
         assert outcome.winner == "A"
         shares = irv_percentages(outcome)
@@ -93,9 +91,7 @@ class TestSmallProfiles:
         assert shares[0].of_round1["A"] == 1
 
     def test_exhausted_ballots_never_error(self):
-        profile = CondensedProfile(
-            ABC, {"A": 4, "B": 3, "C": 2}, {}, {}
-        )
+        profile = CondensedProfile(ABC, {("A",): 4, ("B",): 3, ("C",): 2})
         outcome = tabulate_irv(profile)
         assert outcome.winner == "A"
         assert outcome.rounds[-1].exhausted_this_round == 2

@@ -112,10 +112,9 @@ RECORDS = [
     ("OvervoteTopTwo", KEY_ARGS, _ballot("AB"), "frozenset({'A', 'B'})", True),
     ("OvervoteTopAll", KEY_ARGS, _ballot("ABC"), "frozenset({'A', 'B', 'C'})", True),
     ("Blank", KEY_ARGS, _ballot(""), "()", True),
-    ("CondensedProfile", ("candidates", "bullet", "full", "over2", "over3", "blank_count"),
-     (("A", "B"), {"A": 1}, {("B", "A"): 2}, {}, 3, 4),
-     "CondensedProfile(candidates=('A', 'B'), bullet={'A': 1}, full={('B', 'A'): 2}, "
-     "over2={}, over3=3, blank_count=4)", False),
+    ("CondensedProfile", ("candidates", "counts"),
+     (("A", "B"), {("A",): 1, ("B", "A"): 2, (): 4}),
+     "CondensedProfile(candidates=('A', 'B'), counts={('A',): 1, ('B', 'A'): 2, (): 4})", False),
     ("RawCvrDocument", ("candidates", "ballots"), (("A",), ()),
      "RawCvrDocument(candidates=('A',), ballots=())", True),
     ("Column", ("name", "kind"), ("votes", "int"), "Column(name='votes', kind='int')", True),
@@ -237,12 +236,13 @@ def test_all_way_overvote_and_blank_stay_separate_counter_keys():
     assert over3 != blank
     assert counts == {frozenset(roster): 1, (): 2}
     profile = ballotlab.condense(counts.elements(), roster)
-    assert (profile.over3, profile.blank_count) == (1, 2)
+    assert profile.counts == {frozenset(roster): 1, (): 2}
+    assert profile.blank_count == 2
 
 
 def test_record_defaults():
-    profile = ballotlab.CondensedProfile(("A", "B"), {}, {}, {})
-    assert (profile.over3, profile.blank_count) == (0, 0)
+    with pytest.raises(TypeError, match=r"takes the fields \('candidates', 'counts'\)"):
+        ballotlab.CondensedProfile(("A", "B"))
     assert report.Column("name").kind == "text"
     assert report.Cell(1).kind is None
     first, second = report.Report("T", ()), report.Report("T", ())
@@ -253,17 +253,17 @@ def test_record_defaults():
 
 
 def test_records_match_positionally():
-    profile = ballotlab.CondensedProfile(("A", "B"), {"A": 1}, {}, {})
+    profile = ballotlab.CondensedProfile(("A", "B"), {("A",): 1})
     matched = []
     for record in (ballotlab.RankedBallot((A, B)), report.Column("n"), profile):
         match record:
             case ballotlab.RankedBallot(ranks):
                 matched.append(ranks)
-            case ballotlab.CondensedProfile(candidates, bullet, _, _, over3):
-                matched.append((candidates, bullet, over3))
+            case ballotlab.CondensedProfile(candidates, counts):
+                matched.append((candidates, counts))
             case report.Column(name, kind):
                 matched.append((name, kind))
-    assert matched == [(A, B), ("n", "text"), (("A", "B"), {"A": 1}, 0)]
+    assert matched == [(A, B), ("n", "text"), (("A", "B"), {("A",): 1})]
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -279,6 +279,8 @@ STATED = {
         "Fraction(21738, 62291)", lambda t: t == Fraction(21738, 62291)),
     'bl.uniform_star_threshold(profile, "Begich", "Palin")': (
         "1.87 stars", lambda t: t.stars == Fraction(187, 100)),
+    'profile.counts[("Peltola", "Begich")]': ("47429 ballots", lambda n: n == 47429),
+    "profile.counts[frozenset(profile.candidates)]": ("56 all-way overvotes", lambda n: n == 56),
     "bl.classify_ballot(ballot, profile.candidates)": (
         '("Begich", "Peltola")', lambda key: key == ("Begich", "Peltola")),
 }

@@ -42,6 +42,7 @@ from ballotlab import (
 )
 
 from .oracles import (
+    all_way,
     brute_approval,
     brute_irv,
     brute_pairwise,
@@ -59,6 +60,7 @@ from .oracles import (
     zero_profile,
 )
 from ballotlab.condensed import _RESERVED
+from ballotlab.core import condense_weighted
 from ballotlab.ingest import ingest_raw
 
 ABC = ("A", "B", "C")
@@ -72,11 +74,10 @@ counts = st.integers(0, 25)
 
 @st.composite
 def profiles(draw, allow_overvotes: bool = True, min_ranked: int = 0):
-    bullet = {c: draw(counts) for c in ABC}
-    full = {g: draw(counts) for g in GROUPS}
-    over2 = {p: draw(counts) for p in PAIRS} if allow_overvotes else {}
-    over3 = draw(counts) if allow_overvotes else 0
-    profile = CondensedProfile(ABC, bullet, full, over2, over3)
+    keys = [(c,) for c in ABC] + list(GROUPS)
+    if allow_overvotes:
+        keys += [*PAIRS, frozenset(ABC)]
+    profile = CondensedProfile(ABC, {key: draw(counts) for key in keys})
     assume(profile.total_valid_ranked >= min_ranked)
     return profile
 
@@ -124,14 +125,10 @@ any_names = st.text(st.characters(blacklist_categories=("Cs",),
 @st.composite
 def named_profiles(draw, names=names):
     roster = tuple(draw(st.lists(names, min_size=2, max_size=4, unique=True)))
-    bullet = {c: draw(counts) for c in roster}
-    full = {(a, b): draw(counts) for a in roster for b in roster if a != b}
-    over2 = {
-        frozenset((roster[i], roster[j])): draw(counts)
-        for i in range(len(roster))
-        for j in range(i + 1, len(roster))
-    }
-    return CondensedProfile(roster, bullet, full, over2, draw(counts), draw(counts))
+    keys = [(c,) for c in roster] + [(a, b) for a in roster for b in roster if a != b]
+    keys += [frozenset(pair) for pair in itertools.combinations(roster, 2)]
+    keys += [frozenset(roster), ()]  # on 2 candidates the pair is the whole roster again
+    return CondensedProfile(roster, {key: draw(counts) for key in keys})
 
 
 WRITE_INS = ("WRITEIN:x", "WRITEIN:yy")
@@ -242,7 +239,7 @@ class TestHandBuiltIngest:
         outcome = _result(lambda: ingest_raw(data.encode()))
         if isinstance(outcome, CondensedProfile):
             assert outcome == per_ballot_profile(doc.ballots, doc.candidates)
-            later = sum(n for prefs, n in outcome.full.items() if len(prefs) > 2)
+            later = sum(n for prefs, n in outcome.rankings() if len(prefs) > 2)
             assert later == later_choice_ballots(doc.ballots, doc.candidates)
 
 
@@ -291,14 +288,51 @@ class TestCondensedRoundTrips:
 
 class TestWholeRosterOvervote:
     @given(named_profiles(), counts)
-    def test_whole_roster_in_over2_is_all_way(self, profile, n):
-        """On 2 or 3 candidates, the whole roster given in ``over2`` counts as ``over3``."""
+    def test_whole_roster_set_is_the_all_way_count(self, profile, n):
+        """The whole roster's set is one key, the all-way count, whichever way it was
+        counted: a raw ballot marking every candidate at the top, an ``over3`` row, or
+        on 2 candidates an ``over2`` row.  It supports no one."""
         roster = profile.candidates
-        assume(len(roster) <= 3)
-        ranked = (roster, profile.bullet, profile.full)
-        assert CondensedProfile(
-            *ranked, {**profile.over2, frozenset(roster): n}, profile.over3, profile.blank_count
-        ) == CondensedProfile(*ranked, profile.over2, profile.over3 + n, profile.blank_count)
+        everyone = frozenset(roster)
+        key = classify_ballot(RankedBallot((everyone,)), roster)
+        more = condense_weighted([*profile.counts.items(), (key, n)], roster)
+        assert key == everyone and more.counts.get(everyone, 0) == all_way(profile) + n
+        assert dict(more.two_way_overvotes()) == dict(profile.two_way_overvotes())
+        assert more.first_place_totals(True) == profile.first_place_totals(True)
+        assert more.total_with_preference == profile.total_with_preference
+        rows = [r for r in write_condensed(profile).decode().splitlines()
+                if not r.startswith("over3:")]
+        for kind in ("over3", "over2") if len(roster) == 2 else ("over3",):
+            row = f"{kind}:{'+'.join(roster)},{all_way(profile) + n}"
+            assert parse_condensed("\n".join([*rows, row]).encode()) == more
+
+
+@st.composite
+def key_maps(draw):
+    """A roster of 2-6 and counts, zeros included, of its profile keys: whole
+    rankings of 1 to max(2, N - 1) names, two-way and all-way overvotes, blanks."""
+    roster = tuple("ABCDEF"[:draw(st.integers(2, 6))])
+    depth = max(2, len(roster) - 1)
+    ranking = st.lists(st.sampled_from(roster), min_size=1, max_size=depth, unique=True)
+    overvote = st.sampled_from([*itertools.combinations(roster, 2), roster])
+    keys = st.one_of(ranking.map(tuple), overvote.map(frozenset), st.just(()))
+    return roster, draw(st.dictionaries(keys, counts, max_size=20))
+
+
+class TestKeyCounts:
+    @given(key_maps())
+    def test_the_counts_are_the_profile(self, case):
+        """A profile is its nonzero key counts: summing them again, reordering them
+        or adding zero entries gives the same profile, and the totals add up."""
+        roster, key_counts = case
+        profile = CondensedProfile(roster, key_counts)
+        assert profile.counts == {key: n for key, n in key_counts.items() if n}
+        assert condense_weighted(profile.counts.items(), profile.candidates) == profile
+        zeros = dict.fromkeys([*((c,) for c in roster), frozenset(roster), ()], 0)
+        assert CondensedProfile(roster, {**zeros, **dict(reversed(key_counts.items()))}) == profile
+        assert profile.total_with_any_mark + profile.blank_count == sum(profile.counts.values())
+        assert (profile.total_valid_ranked + profile.total_overvotes + profile.blank_count
+                == sum(profile.counts.values()))
 
 
 class TestTopChoices:

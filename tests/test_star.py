@@ -26,7 +26,7 @@ class TestStarRange:
         assert rng.maximum == {"Begich": 596969, "Palin": 423215, "Peltola": 456495}
 
     def test_all_bullets(self):
-        profile = CondensedProfile(ABC, {"A": 4, "B": 2, "C": 1}, {}, {})
+        profile = CondensedProfile(ABC, {("A",): 4, ("B",): 2, ("C",): 1})
         rng = star_range(profile)
         assert rng.minimum == rng.maximum == {"A": 20, "B": 10, "C": 5}
 
@@ -69,7 +69,7 @@ class TestEvaluate:
         assert outcome.winners == ("Peltola",)
 
     def test_two_candidate_race(self):
-        profile = CondensedProfile(("A", "B"), {"A": 2, "B": 1}, {}, {})
+        profile = CondensedProfile(("A", "B"), {("A",): 2, ("B",): 1})
         outcome = evaluate_star(profile, StarScenario.uniform(profile, 1))
         assert outcome.scores == {"A": 10, "B": 5}
         assert outcome.runoff_tallies == {"A": 2, "B": 1}
@@ -84,10 +84,7 @@ class TestEvaluate:
 
     def test_second_berth_tie_resolved_head_to_head(self):
         profile = CondensedProfile(
-            ABC,
-            {"A": 1, "C": 1},
-            {("A", "C"): 2},
-            {frozenset(("A", "B")): 2},
+            ABC, {("A",): 1, ("C",): 1, ("A", "C"): 2, frozenset(("A", "B")): 2}
         )
         outcome = evaluate_star(profile, StarScenario.uniform(profile, Fraction(5, 2)))
         assert outcome.scores == {"A": 25, "B": 10, "C": 10}
@@ -96,12 +93,12 @@ class TestEvaluate:
         assert outcome.winners == ("A",)
 
     def test_unresolvable_second_berth_tie(self):
-        profile = CondensedProfile(ABC, {"A": 2, "B": 1, "C": 1}, {}, {})
+        profile = CondensedProfile(ABC, {("A",): 2, ("B",): 1, ("C",): 1})
         with pytest.raises(DecisiveTieError):
             evaluate_star(profile, StarScenario.uniform(profile, 1))
 
     def test_exact_runoff_tie_is_reported(self):
-        profile = CondensedProfile(("A", "B"), {"A": 1, "B": 1}, {}, {})
+        profile = CondensedProfile(("A", "B"), {("A",): 1, ("B",): 1})
         outcome = evaluate_star(profile, StarScenario.uniform(profile, 1))
         assert outcome.winners == ("A", "B")
 
@@ -151,9 +148,7 @@ class TestThreshold:
         assert base + Fraction(186, 100) * 81546 <= 423215
 
     def test_minimum_already_sufficient(self):
-        profile = CondensedProfile(
-            ABC, {"A": 1000, "B": 1, "C": 1}, {("B", "A"): 1}, {}
-        )
+        profile = CondensedProfile(ABC, {("A",): 1000, ("B",): 1, ("C",): 1, ("B", "A"): 1})
         result = uniform_star_threshold(profile, "A", "B")
         assert result.stars == 1
 
@@ -177,13 +172,13 @@ class TestSweep:
         assert points == [(1, ("Begich",)), (4, ("Begich",))]
 
     def test_all_bullets_constant(self):
-        profile = CondensedProfile(ABC, {"A": 3, "B": 2, "C": 1}, {}, {})
+        profile = CondensedProfile(ABC, {("A",): 3, ("B",): 2, ("C",): 1})
         points = sweep_star(profile, 1)
         assert [w for _, w in points] == [("A",)] * 4
 
     def test_two_candidate_profile(self):
         # B outscores A above 2.5 stars, but A wins every runoff 3-2.
-        profile = CondensedProfile(("A", "B"), {"A": 1, "B": 2}, {("A", "B"): 2}, {})
+        profile = CondensedProfile(("A", "B"), {("A",): 1, ("B",): 2, ("A", "B"): 2})
         points = sweep_star(profile, Fraction(3, 2))
         assert points == [(1, ("A",)), (Fraction(5, 2), ("A",)), (4, ("A",))]
         assert points == per_point_sweep(profile, evaluate_star, StarScenario, Fraction(3, 2), 1, 4)
