@@ -19,7 +19,7 @@ from math import lcm
 
 from .core import CondensedProfile, Record
 from .errors import UnattainableError
-from .rational import bounded_rational, decimal_string, exact_rational, fraction_token
+from .rational import decimal_string, exact_rational, fraction_token
 from .report import CSV, Cell, Column, Report, emit_range_plot_data
 
 Group = tuple[str, str]  # (first choice, second choice)
@@ -54,7 +54,10 @@ class Scale(Record):
 
     def value(self, value, what: str) -> Fraction:
         """``value`` as an exact point of the scale; ``what`` names it in errors."""
-        return self.resolution(bounded_rational(value, self.low, self.high, what), what)
+        value = exact_rational(value, what)
+        if not self.low <= value <= self.high:
+            raise ValueError(f"{what} must lie in [{self.low}, {self.high}], got {value}")
+        return self.resolution(value, what)
 
     def grid(self, step, start, end) -> tuple[Fraction, Fraction, Fraction]:
         """A sweep grid's checked ``(step, start, end)``, with ``0 < step <= high - low``."""
@@ -151,13 +154,21 @@ class ApprovalRange(Record):
 def score_lines(profile: CondensedProfile, first_weight: int) -> tuple[dict[str, int], dict[str, int]]:
     """Each candidate's score ``base + slope * t`` at a uniform second-choice value ``t``.
 
-    ``base`` is the guaranteed support, ``first_weight`` per first-place
-    vote with two-way top overvotes included; ``slope`` counts the full
-    rankings placing the candidate second.  Approval weighs a first
-    choice 1 with ``t`` the rate, STAR 5 stars with ``t`` the rating.
+    ``base`` is the guaranteed support, ``first_weight`` per first choice
+    and per two-way top overvote naming the candidate (an all-way one
+    supports no one); ``slope`` counts the rankings placing the candidate
+    second.  Approval weighs a first choice 1 with ``t`` the rate, STAR 5
+    stars with ``t`` the rating.
     """
-    first = profile.first_place_totals(include_top_ties=True)
-    return {c: first_weight * n for c, n in first.items()}, profile.second_place_totals()
+    base = profile.top_choices(profile.candidates)
+    for pair, n in profile.two_way_overvotes():
+        for c in pair:
+            base[c] += n
+    slope = dict.fromkeys(profile.candidates, 0)
+    for prefs, n in profile.rankings():
+        if len(prefs) > 1:
+            slope[prefs[1]] += n
+    return {c: first_weight * n for c, n in base.items()}, slope
 
 
 def check_pair(profile: CondensedProfile, a: str, b: str, roles: str) -> None:
@@ -191,10 +202,10 @@ def evaluate_approval(profile: CondensedProfile, scenario: ApprovalScenario) -> 
     """Exact expected approval scores under the scenario."""
     scores = scenario.scores(profile)
     total_approvals = sum(scores.values())
-    guaranteed = sum(profile.first_place_totals(include_top_ties=True).values())
-    second_approvals = total_approvals - guaranteed
+    base, slope = score_lines(profile, APPROVAL.first_weight)
+    second_approvals = total_approvals - sum(base.values())
 
-    rankers = sum(n for prefs, n in profile.rankings() if len(prefs) > 1)
+    rankers = sum(slope.values())
     mean_rankers = 1 + second_approvals / rankers if rankers else Fraction(1)
     participating = profile.total_with_preference
     mean_all = total_approvals / participating if participating else Fraction(0)

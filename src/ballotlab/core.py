@@ -37,7 +37,8 @@ def is_write_in(mark: str) -> bool:
 
 
 def validate_roster(candidates: Sequence[str]) -> tuple[str, ...]:
-    """Normalize a candidate roster: trim names, require them valid Unicode text and distinct.
+    """Normalize a candidate roster: trim names, require them valid Unicode text, free
+    of ``|`` (which joins tied names in every report) and distinct.
 
     Roster order is preserved; it determines output ordering everywhere
     but never breaks a tie unless a rule explicitly says so.
@@ -47,6 +48,8 @@ def validate_roster(candidates: Sequence[str]) -> tuple[str, ...]:
         name = name.strip()
         if not name:
             raise ValueError("candidate names must be non-empty")
+        if "|" in name:
+            raise ValueError(f"candidate name {name!r} contains reserved character '|'")
         if not name.isascii() and any("\ud800" <= ch <= "\udfff" for ch in name):
             raise ValueError(f"candidate name {name!r} is not valid Unicode text")
         if is_write_in(name):
@@ -293,28 +296,6 @@ class CondensedProfile(Record):
         """Each two-way top overvote as ``(pair, count)``: a set short of the whole roster."""
         return [(key, n) for key, n in self.counts.items()
                 if isinstance(key, frozenset) and len(key) < len(self.candidates)]
-
-    def first_place_totals(self, include_top_ties: bool = False) -> dict[str, int]:
-        """First-choice support per candidate.
-
-        With ``include_top_ties`` every two-way top overvote adds one
-        vote to each of its pair members.  All-way overvotes never
-        contribute; they express no preference.
-        """
-        totals = self.top_choices(self.candidates)
-        if include_top_ties:
-            for pair, n in self.two_way_overvotes():
-                for c in pair:
-                    totals[c] += n
-        return totals
-
-    def second_place_totals(self) -> dict[str, int]:
-        """Count of full rankings placing each candidate second."""
-        totals = dict.fromkeys(self.candidates, 0)
-        for prefs, n in self.rankings():
-            if len(prefs) > 1:
-                totals[prefs[1]] += n
-        return totals
 
     def top_choices(self, among: Sequence[str]) -> dict[str, int]:
         """Per candidate of ``among``, in its order, the rankings placing them above the rest of it.

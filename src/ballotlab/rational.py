@@ -34,13 +34,6 @@ def exact_rational(value, what: str) -> Fraction:
     raise ValueError(f"{what} has a decimal exponent outside ±{MAX_EXPONENT}: {value!r}")
 
 
-def bounded_rational(value, lo: Fraction, hi: Fraction, what: str) -> Fraction:
-    value = exact_rational(value, what)
-    if not lo <= value <= hi:
-        raise ValueError(f"{what} must lie in [{lo}, {hi}], got {value}")
-    return value
-
-
 def decimal_string(value: Fraction | int, places: int) -> str:
     """Exact fixed-point rendering, round-half-up on the magnitude."""
     sign = "-" if value < 0 else ""

@@ -742,10 +742,13 @@ class TestDeterminism:
 
 # sha256 of the stdout of model commands on the fixture, recorded before
 # sweeps and the STAR threshold were computed in closed form, and of every
-# other README command before the CLI became one command table.  The input
-# follows the command words; a ``None`` format passes no ``--format`` flag;
-# ``ingest`` reads RAW_CVR.  Table output ends in a provenance line carrying
-# the argv and the package version.
+# other README command before the CLI became one command table.  The
+# 1/62291 grid lands on the exact Begich-Peltola crossing 21738/62291, a
+# tied row; it was recorded before the score lines were counted in
+# ``approval.score_lines`` alone.  The input follows the command words; a
+# ``None`` format passes no ``--format`` flag; ``ingest`` reads RAW_CVR.
+# Table output ends in a provenance line carrying the argv and the package
+# version.
 MODEL_COMMAND_DIGESTS = {
     ("approval sweep --grid 0:1:0.0001", "table"):
         "507e5de2e5d7d3e4beb32ee93da5ba19d1f8b1efb67041e50ae5b41bacd484bc",
@@ -753,6 +756,12 @@ MODEL_COMMAND_DIGESTS = {
         "996812b3be755080ce484e1293fd547405f4edbc67a000612e8a530fa4779937",
     ("approval sweep --grid 0:1:0.0001", "json-lines"):
         "e7639f6799211396605376e4b88623025f0b04dc985ace19b46f370480bc2127",
+    ("approval sweep --grid 0:1:1/62291", "table"):
+        "183a3d0e8b9f6811048bc1777cc72589be649b6cbc40635ecbfb2a15056e742a",
+    ("approval sweep --grid 0:1:1/62291", "csv"):
+        "9f9cd586716b65518557fc41eef37bb148a2922e2f202905f77888f382db8221",
+    ("approval sweep --grid 0:1:1/62291", "json-lines"):
+        "7eb37f4ea4dd461623e248b9649caa51737fb371237ae82f6163a4e1abaac09a",
     ("star sweep", "table"):
         "467fd936f15b6b286be80cc3e6358b8de53d474e9f22175f77f643650823dafd",
     ("star sweep", "csv"):

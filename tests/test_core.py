@@ -8,6 +8,7 @@ from ballotlab import (
     classify_ballot,
     condense,
 )
+from ballotlab.approval import score_lines
 
 from .oracles import expand, ranked_ballot, scaled, zero_profile
 
@@ -214,25 +215,25 @@ class TestTotals:
         assert alaska_profile.total_overvotes == 234
 
     def test_first_place_excluding_ties(self, alaska_profile):
-        totals = alaska_profile.first_place_totals()
+        totals = alaska_profile.top_choices(alaska_profile.candidates)  # IRV's round 1
         assert totals == {"Begich": 54009, "Palin": 58939, "Peltola": 75803}
         assert sum(totals.values()) == alaska_profile.total_valid_ranked
 
     def test_first_place_including_ties(self, alaska_profile):
-        totals = alaska_profile.first_place_totals(include_top_ties=True)
-        assert totals == {"Begich": 54157, "Palin": 59055, "Peltola": 75895}
+        base, _ = score_lines(alaska_profile, 1)
+        assert base == {"Begich": 54157, "Palin": 59055, "Peltola": 75895}
 
     def test_second_place(self, alaska_profile):
-        totals = alaska_profile.second_place_totals()
-        assert totals == {"Begich": 81546, "Palin": 31985, "Peltola": 19255}
+        _, slope = score_lines(alaska_profile, 1)
+        assert slope == {"Begich": 81546, "Palin": 31985, "Peltola": 19255}
 
     def test_second_place_all_bullets(self):
         profile = CondensedProfile(ROSTER, {("Begich",): 5, ("Peltola",): 2})
-        assert profile.second_place_totals() == {c: 0 for c in ROSTER}
+        assert score_lines(profile, 1)[1] == {c: 0 for c in ROSTER}
 
     def test_second_place_bounded_by_other_firsts(self, alaska_profile):
-        firsts = alaska_profile.first_place_totals()
-        seconds = alaska_profile.second_place_totals()
+        firsts = alaska_profile.top_choices(alaska_profile.candidates)
+        _, seconds = score_lines(alaska_profile, 1)
         for c in ROSTER:
             assert seconds[c] <= alaska_profile.total_valid_ranked - firsts[c]
 

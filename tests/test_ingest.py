@@ -643,6 +643,26 @@ class TestCondensedFile:
         assert write_condensed(alaska_profile) == write_condensed(alaska())
 
 
+class TestPipeInNames:
+    """``|`` joins tied winners and the STAR finalists in every report, so a name holding
+    one would make ``winner,A|B`` read both as a tie of A and B and as a win by A|B."""
+
+    MESSAGE = "error: candidate name 'A|B' contains reserved character '|'\n"
+
+    @pytest.mark.parametrize("tie", [4, 6], ids=["tie-of-A-and-B", "lone-win-by-A|B"])
+    def test_condensed_name_is_refused(self, capsys, tmp_path, tie):
+        path = tmp_path / "profile.csv"
+        path.write_text(f"pattern,count\nbullet:A|B,{tie}\nbullet:A,5\nbullet:B,5\n")
+        assert run(["approval", "eval", str(path), "--p", "0", "--format", "csv"]) == 2
+        assert capsys.readouterr() == ("", self.MESSAGE)
+
+    def test_raw_name_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "raw.json"
+        path.write_bytes(raw_doc([[["A"], [], []], [["B"], [], []]], candidates=("A|B", "A", "B")))
+        assert run(["star", "eval", str(path), "--s", "1", "--format", "csv"]) == 2
+        assert capsys.readouterr() == ("", self.MESSAGE)
+
+
 class TestLoneSurrogateNames:
     """A JSON escape can spell a lone surrogate, which no UTF-8 output can carry."""
 

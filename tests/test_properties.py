@@ -59,6 +59,7 @@ from .oracles import (
     whole_ranking,
     zero_profile,
 )
+from ballotlab.approval import score_lines
 from ballotlab.condensed import _RESERVED
 from ballotlab.core import condense_weighted
 from ballotlab.ingest import ingest_raw
@@ -117,7 +118,7 @@ names = st.text(
 )
 # Trimmed names of any characters a UTF-8 file can hold but the reserved ones.
 any_names = st.text(st.characters(blacklist_categories=("Cs",),
-                                  blacklist_characters="".join(_RESERVED)),
+                                  blacklist_characters="".join(_RESERVED) + "|"),
                     min_size=1, max_size=8).map(str.strip).filter(
                         lambda name: name and not name.startswith(WRITE_IN_PREFIX))
 
@@ -298,7 +299,7 @@ class TestWholeRosterOvervote:
         more = condense_weighted([*profile.counts.items(), (key, n)], roster)
         assert key == everyone and more.counts.get(everyone, 0) == all_way(profile) + n
         assert dict(more.two_way_overvotes()) == dict(profile.two_way_overvotes())
-        assert more.first_place_totals(True) == profile.first_place_totals(True)
+        assert score_lines(more, 1)[0] == score_lines(profile, 1)[0]
         assert more.total_with_preference == profile.total_with_preference
         rows = [r for r in write_condensed(profile).decode().splitlines()
                 if not r.startswith("over3:")]
@@ -466,11 +467,18 @@ class TestApprovalProperties:
         for c in ABC:
             assert rng.minimum[c] <= scores[c] <= rng.maximum[c]
 
-    @given(profiles())
-    def test_range_matches_per_ballot_enumeration_at_endpoints(self, profile):
-        rng = approval_range(profile)
-        assert rng.minimum == brute_approval(profile, {g: False for g in GROUPS})
-        assert rng.maximum == brute_approval(profile, {g: True for g in GROUPS})
+    @given(st.one_of(profiles(), named_profiles()), st.integers(1, 5))
+    def test_range_matches_per_ballot_enumeration_at_endpoints(self, profile, weight):
+        """The score lines, and on 2 or 3 candidates the range, at rates 0 and 1."""
+        groups = profile.ranking_groups()
+        low = brute_approval(profile, dict.fromkeys(groups, False))
+        high = brute_approval(profile, dict.fromkeys(groups, True))
+        base, slope = score_lines(profile, weight)
+        assert base == {c: weight * n for c, n in low.items()}
+        assert slope == {c: high[c] - n for c, n in low.items()}
+        if len(profile.candidates) <= 3:
+            rng = approval_range(profile)
+            assert (rng.minimum, rng.maximum) == (low, high)
 
     @given(profiles(), st.integers(2, 7), rates)
     def test_scaling_counts_preserves_winners(self, profile, factor, p):
