@@ -6,12 +6,14 @@ computes head-to-head Condorcet results, and evaluates parameterized
 approval- and STAR-voting counterfactual models in exact rational
 arithmetic.
 
-The raw-CVR reader (``ingest``) and the model modules (``irv``,
-``condorcet``, ``approval``, ``star``) are registered in ``sys.modules`` at
-import but execute on first attribute access.  Each model module ends with
-the report builders of its commands, so a command-line process compiles
-and runs only the reader, model and builder it needs.  Public names are
-served from here on demand and behave exactly like eager re-exports;
+The raw-CVR reader (``ingest``), the model modules (``irv``,
+``condorcet``, ``approval``, ``star``) and the report layer (``report``,
+``rational``) are registered in ``sys.modules`` at import but execute on
+first attribute access.  Each model module ends with the report builders
+of its commands, so a command-line process compiles and runs only the
+reader, model, builder and renderer it needs: ``ingest`` loads no report
+layer, nor ``fractions`` or ``decimal``.  Public names are served from
+here on demand and behave exactly like eager re-exports;
 ``ballotlab.ingest`` is the function, not the module.
 """
 
@@ -89,6 +91,8 @@ irv = _register_lazy("irv")
 condorcet = _register_lazy("condorcet")
 approval = _register_lazy("approval")
 star = _register_lazy("star")
+rational = _register_lazy("rational")
+report = _register_lazy("report")
 
 
 def __getattr__(name: str):

@@ -112,11 +112,17 @@ class Scenario(Record):
     def scores(self, profile: CondensedProfile) -> dict[str, Fraction]:
         """Exact score per candidate: guaranteed support plus each group's second choices."""
         _require_roster(profile)
+        return self.scores_over(profile, score_lines(profile, self.scale.first_weight)[0])
+
+    def scores_over(self, profile: CondensedProfile, base: dict[str, int]) -> dict[str, Fraction]:
+        """``base``, the :func:`score_lines` base, plus each group's second choices."""
         (field,) = self.__slots__
-        base, _ = score_lines(profile, self.scale.first_weight)
+        sizes: dict[tuple[str, ...], int] = {}  # rankings per first two names, in one pass
+        for prefs, n in profile.rankings():
+            sizes[prefs[:2]] = sizes.get(prefs[:2], 0) + n
         scores = {c: Fraction(n) for c, n in base.items()}
-        for (first, second), value in self.resolve(profile, getattr(self, field)).items():
-            scores[second] += value * profile.full_count(first, second)
+        for group, value in self.resolve(profile, getattr(self, field)).items():
+            scores[group[1]] += value * sizes.get(group, 0)
         return scores
 
 
@@ -200,9 +206,10 @@ def _winners(scores: dict[str, int | Fraction], order: tuple[str, ...]) -> tuple
 
 def evaluate_approval(profile: CondensedProfile, scenario: ApprovalScenario) -> ApprovalOutcome:
     """Exact expected approval scores under the scenario."""
-    scores = scenario.scores(profile)
-    total_approvals = sum(scores.values())
+    _require_roster(profile)
     base, slope = score_lines(profile, APPROVAL.first_weight)
+    scores = scenario.scores_over(profile, base)
+    total_approvals = sum(scores.values())
     second_approvals = total_approvals - sum(base.values())
 
     rankers = sum(slope.values())

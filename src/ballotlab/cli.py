@@ -18,8 +18,10 @@ builder and renders the :class:`Report` it returns (``ingest`` and
 ``--plot-data`` return bytes).  Except ``ingest``'s, each builder ends its
 model's lazily loaded module (see the package docstring); :func:`run` looks
 it up only after parsing, so a process compiles only its own command's model
-and ``--help`` runs none.  ``hashlib``, ``csv`` and ``json`` load only for
-the output that uses them.
+and ``--help`` runs none.  The report layer (``report`` and ``rational``,
+with ``fractions``) is lazily registered too and runs only for a command
+that renders a report or parses a grid, so ``ingest`` never loads it.
+``hashlib``, ``csv`` and ``json`` load only for the output that uses them.
 """
 
 from __future__ import annotations
@@ -27,14 +29,11 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
-from fractions import Fraction
 
-from . import __version__, _ingest_module
+from . import __version__, _ingest_module, rational, report
 from .core import CondensedProfile
 from .errors import DecisiveTieError, NoValidBallotsError, ParseError, UnattainableError
 from .condensed import parse_condensed, write_condensed
-from .rational import exact_rational
-from .report import FORMATS, TABLE, Report, emit_table
 
 
 def main() -> None:
@@ -52,11 +51,11 @@ def run(argv: Sequence[str]) -> int:
     try:
         profile, data = _load_profile(args)
         output = _builder(args.build)(args, profile)
-        if isinstance(output, Report):
-            fmt = args.format or TABLE
-            if fmt == TABLE:
+        if not isinstance(output, bytes):  # a Report
+            fmt = args.format or "table"
+            if fmt == "table":
                 output.notes.append(_provenance(argv, data))
-            output = emit_table(output, fmt)
+            output = report.emit_table(output, fmt)
         if args.out:
             with open(args.out, "wb") as out:
                 out.write(output)
@@ -90,12 +89,12 @@ def _parse_group_assignment(text: str) -> tuple[tuple[str, str], str]:
     return _parse_group(head), value
 
 
-def _parse_grid(text: str) -> tuple[Fraction, Fraction, Fraction]:
+def _parse_grid(text: str) -> tuple[rational.Fraction, rational.Fraction, rational.Fraction]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must look like start:end:step, got {text!r}")
     try:
-        return tuple(exact_rational(p, "grid value") for p in parts)
+        return tuple(rational.exact_rational(p, "grid value") for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -144,7 +143,10 @@ def _flag(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
 _FILE = _flag("file", help="condensed profile (.csv) or raw cast-vote-record (.json)")
 _INPUT_FORMAT = _flag("--input-format", choices=("raw", "condensed"),
                       help="override input detection by file extension")
-_FORMAT = _flag("--format", choices=FORMATS, help=f"output format (default: {TABLE})")
+# Literal values of report.FORMATS and report.TABLE: building the parser
+# must not load the report module.
+_FORMAT = _flag("--format", choices=("table", "csv", "json-lines"),
+                help="output format (default: table)")
 _OUT = _flag("--out", help="write to this path instead of standard output")
 _IO = (_FILE, _INPUT_FORMAT, _FORMAT, _OUT)
 _PLOT_DATA = _flag("--plot-data", action="store_true",
@@ -184,7 +186,8 @@ COMMANDS = (
      _flag("--group", required=True, type=_parse_group, metavar="FIRST>SECOND",
            help="source group; its second choice must be the candidate")),
     ("approval sweep", "winner at every uniform rate on a grid", "approval.sweep_report", *_IO,
-     _flag("--grid", type=_parse_grid, default=(Fraction(0), Fraction(1), Fraction(1, 100)),
+     # argparse passes a string default through ``type``, and only when the flag is absent.
+     _flag("--grid", type=_parse_grid, default="0:1:0.01",
            metavar="START:END:STEP", help="default 0:1:0.01")),
     ("star", "STAR-voting counterfactual model", None),
     ("star range", "minimum/maximum possible scores per candidate", "star.range_report",
@@ -199,7 +202,7 @@ COMMANDS = (
      _flag("--guaranteed", required=True, help="candidate locking in the runoff berth"),
      _flag("--rival", required=True, help="rival whose maximum must be beaten")),
     ("star sweep", "winner at every uniform rating on a grid", "star.sweep_report", *_IO,
-     _flag("--grid", type=_parse_grid, default=(Fraction(1), Fraction(4), Fraction(1, 100)),
+     _flag("--grid", type=_parse_grid, default="1:4:0.01",
            metavar="START:END:STEP", help="default 1:4:0.01")),
 )
 

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from ballotlab import __version__, parse_condensed
-from ballotlab.cli import COMMANDS, _builder, run
+from ballotlab import __version__, parse_condensed, report
+from ballotlab.cli import _FORMAT, COMMANDS, _builder, run
 
 from .conftest import alaska
 
@@ -1009,6 +1009,36 @@ class TestLazyModelModules:
         result = _audit(*path.split(), "--help")
         assert result["code"] == 0
         assert not {"approval.py", "condorcet.py", "irv.py", "star.py"} & set(result["executed"])
+
+    # The flags a command needs to render its report on the fixture.
+    REPORT_FLAGS = {
+        "approval eval": ["--p", "1/2"],
+        "approval threshold": ["--riser", "Begich", "--leader", "Peltola"],
+        "approval clinch": ["--candidate", "Begich", "--group", "Peltola>Begich"],
+        "star eval": ["--s", "2"],
+        "star threshold": ["--guaranteed", "Begich", "--rival", "Palin"],
+    }
+
+    @pytest.mark.parametrize("raw", [False, True], ids=["condensed", "raw"])
+    def test_ingest_loads_no_report_layer(self, alaska_csv, tmp_path, raw):
+        source = alaska_csv
+        if raw:
+            source = tmp_path / "raw.json"
+            source.write_text(json.dumps(RAW_CVR))
+        result = _audit("ingest", str(source), "--out", str(tmp_path / "out.csv"))
+        assert result["code"] == 0
+        assert not {"report.py", "rational.py"} & set(result["executed"])
+        assert not {"fractions", "decimal"} & set(result["modules"])
+
+    @pytest.mark.parametrize("command", [c for c in BUILDERS if c != "ingest"])
+    def test_command_that_renders_a_report_runs_the_report_layer(self, alaska_csv, command):
+        result = _audit(*command.split(), str(alaska_csv), *self.REPORT_FLAGS.get(command, []))
+        assert result["code"] == 0
+        assert {"report.py", "rational.py"} <= set(result["after_run"])
+
+    def test_format_choices_are_the_report_formats(self):
+        assert _FORMAT[1]["choices"] == report.FORMATS
+        assert _FORMAT[1]["help"] == f"output format (default: {report.TABLE})"
 
     def test_import_runs_no_model_module_yet_registers_every_layer(self, alaska_csv):
         result = _audit("ingest", str(alaska_csv))
