@@ -5,26 +5,37 @@ A raw CVR is a UTF-8 JSON object (a BOM may lead)
 ballot is an array of rank positions and each rank position an array of
 mark strings.  Write-in marks carry the ``WRITEIN:`` prefix.
 
-The command line's one pass (:func:`ingest_raw`) and the library's
-:func:`parse_raw` then :func:`ingest` run the same checks, :func:`_grids`:
-each ballot's shape, then each distinct raw rank once.  They end in one
-tail, :func:`_tally`, whose profile keeps each ranking whole; the
-condensed file keeps only its first two names.
+The command line's reader, :func:`ingest_raw`, first tries the distinct
+texts of the ballots (:func:`_distinct_texts`).  That takes the compact
+layout and ``json.dumps``'s default one: ``candidates`` then ``ballots``,
+the ballots array opening with ``[[[`` and its ballots joined by one
+separator such as ``]],[[`` or ``]], [[``.  Write-in marks collapse to the
+bare prefix before ballot texts are counted, since write-ins are dropped
+anyway, and each distinct text is decoded and checked once.  Every other
+layout (an indented one, fields in another order), and every document with
+an error, goes to the general reader, which decodes the whole document;
+so every error message comes from it.  The library's :func:`parse_raw`
+decodes as the general reader does.  Every path runs the same checks,
+:func:`_grids`: each ballot's shape, then each distinct raw rank once.
+Every path ends in one tail, :func:`_tally`, whose profile keeps each
+ranking whole; the condensed file keeps only its first two names.
 
 The package registers this module lazily (see its docstring), so only a
-command that reads a raw CVR executes it and imports ``json`` and ``gc``.
-The condensed CSV format lives in :mod:`ballotlab.condensed`; its reader
-and writer are bound here too.
+command that reads a raw CVR executes it and imports ``json``, ``re`` and
+``gc``.  The condensed CSV format lives in :mod:`ballotlab.condensed`; its
+reader and writer are bound here too.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import re
 from collections import Counter
 from functools import wraps
 
 from .core import (
+    WRITE_IN_PREFIX,
     CondensedProfile,
     RankedBallot,
     Record,
@@ -79,22 +90,84 @@ def parse_raw(data: bytes) -> RawCvrDocument:
 
 @_gc_paused
 def ingest_raw(data: bytes) -> CondensedProfile:
-    """``ingest(parse_raw(data))`` in one pass.
+    """``ingest(parse_raw(data))``, reading each distinct ballot text once
+    where the layout allows (see the module docstring), else in one pass of
+    the general reader.
 
     Each rank's raw marks map once to their roster-only mark set, and each
     ballot is counted under its roster-only grid; no per-voter ballot is
     kept.  ``classify_ballot`` runs only after every ballot passed the checks
     of :func:`_grids`, so a parse error comes ahead of a classification error.
     """
+    try:
+        distinct = _distinct_texts(data)
+        if distinct is not None:
+            roster, raw_ballots, counts = distinct
+            return _tally(zip(_roster_only_grids(raw_ballots, roster), counts), roster)
+    except (ValueError, StopIteration, RecursionError):  # ParseError, MalformedBallotError too
+        pass  # the general reader names the error
     roster, raw_ballots = _document(data)
+    return _tally(Counter(_roster_only_grids(raw_ballots, roster)).items(), roster)
+
+
+def _roster_only_grids(raw_ballots: list, roster: tuple[str, ...]) -> list:
+    """Every raw ballot's roster-only grid, each checked by :func:`_grids`;
+    one shared set per roster-only mark set."""
     roster_set = frozenset(roster)
-    kept: dict[frozenset[str], frozenset[str]] = {}  # one shared set per roster-only mark set
+    kept: dict[frozenset[str], frozenset[str]] = {}
 
     def roster_only(marks: frozenset[str]) -> frozenset[str]:
         marks &= roster_set
         return kept.setdefault(marks, marks)
 
-    return _tally(Counter(_grids(raw_ballots, roster_set, roster_only)).items(), roster)
+    return list(_grids(raw_ballots, roster_set, roster_only))
+
+
+_WS = r"[ \t\n\r]*"  # JSON's whitespace
+_HEAD = re.compile(rf'{_WS}\{{{_WS}"candidates"{_WS}:{_WS}')
+_BALLOTS = re.compile(rf'{_WS},{_WS}"ballots"{_WS}:{_WS}\[\[\[')
+_TAIL = re.compile(rf"\]\]\]{_WS}\}}{_WS}")
+_SEPARATOR = re.compile(rf"\]\]{_WS},{_WS}\[\[")
+# A whole write-in mark: after the prefix, no quote, escape or control character.
+_WRITE_IN = re.compile(rf'"{WRITE_IN_PREFIX}[^"\\\x00-\x1f]*"')
+_scan = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def _distinct_texts(data: bytes) -> tuple[tuple[str, ...], list, list[int]] | None:
+    """The roster, each distinct ballot decoded, and how many ballots repeat
+    its text; ``None`` for a layout this reader does not take.
+
+    Write-in marks collapse to the bare prefix first (write-ins are dropped
+    anyway), unless an escaped quote precedes a prefix.  The ballots text
+    splits at its first ballot separator, and each distinct piece must then
+    decode, alone, as exactly one ballot, so the pieces rejoined are the
+    ``ballots`` array that ``json.loads`` would read.
+    A document it cannot read raises, for the general reader to name."""
+    text = data.decode("utf-8-sig")
+    head = _HEAD.match(text)
+    if not head:
+        return None
+    candidates, end = _scan(text, head.end())
+    ballots, stop = _BALLOTS.match(text, end), text.rfind("]]]")
+    if not (ballots and _TAIL.fullmatch(text, stop) and isinstance(candidates, list)
+            and all(isinstance(c, str) for c in candidates)):
+        return None
+    roster = validate_roster(candidates)
+
+    body = text[ballots.end():stop]
+    if f'\\"{WRITE_IN_PREFIX}' not in body:
+        body = _WRITE_IN.sub(f'"{WRITE_IN_PREFIX}"', body)
+    separator = _SEPARATOR.search(body)
+    pieces = Counter(body.split(separator.group()) if separator else (body,))
+
+    raw_ballots = []
+    for piece in pieces:
+        piece = f"[[{piece}]]"
+        ballot, end = _scan(piece, 0)
+        if end != len(piece):
+            return None
+        raw_ballots.append(ballot)
+    return roster, raw_ballots, list(pieces.values())
 
 
 def _fields(pairs: list[tuple[str, object]]) -> dict:

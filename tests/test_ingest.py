@@ -307,7 +307,11 @@ class TestRepeatedGridErrors:
 
 
 class TestOneCheckPerDistinctRank:
-    """Each distinct raw array rank is checked once, in file order, up to the first error."""
+    """Each distinct raw array rank is checked once, in file order, up to the first error.
+
+    The documents are indented, a layout that ``ingest_raw`` reads with the
+    general reader, as ``parse_raw`` does; the distinct-text reader's checks
+    are in ``TestDistinctTexts``."""
 
     BALLOTS = [
         [["A"], ["B"], []], [["A"], ["B"], []], [["B", "A"], [], []], [["A"], [], ["B"]],
@@ -326,7 +330,7 @@ class TestOneCheckPerDistinctRank:
 
         monkeypatch.setattr(module, "_check_rank", spy)
         try:
-            read(raw_doc(ballots))
+            read(json.dumps({"candidates": ["A", "B", "C"], "ballots": ballots}, indent=1).encode())
         except ParseError:
             pass
         return calls
@@ -397,6 +401,7 @@ class TestGcPause:
         assert gc.isenabled() is gc_before
 
     def test_one_pass_pauses_the_collector_from_decoding_to_condensing(self, gc_before, monkeypatch):
+        """The general reader (an indented document): one ``json.loads``, two grids."""
         seen = []
         loads = json.loads
         monkeypatch.setattr(
@@ -406,8 +411,24 @@ class TestGcPause:
             sys.modules["ballotlab.ingest"], "classify_ballot",
             lambda ballot, roster: seen.append(gc.isenabled()) or classify_ballot(ballot, roster)
         )
-        ingest_raw(raw_doc([VALID, [["B"], [], []]]))
+        ingest_raw(json.dumps({"candidates": ["A", "B", "C"],
+                               "ballots": [VALID, [["B"], [], []]]}, indent=1).encode())
         assert seen == [False, False, False]
+
+    def test_distinct_texts_are_read_with_the_collector_paused(self, gc_before, monkeypatch):
+        """The distinct-text reader: the roster and two ballot texts scanned, two grids."""
+        module, seen = sys.modules["ballotlab.ingest"], []
+        scan = module._scan
+        monkeypatch.setattr(json, "loads", lambda *args, **kw: pytest.fail("json.loads called"))
+        monkeypatch.setattr(
+            module, "_scan", lambda text, at: seen.append(gc.isenabled()) or scan(text, at))
+        monkeypatch.setattr(
+            module, "classify_ballot",
+            lambda ballot, roster: seen.append(gc.isenabled()) or classify_ballot(ballot, roster)
+        )
+        ingest_raw(raw_doc([VALID, [["B"], [], []], VALID]))
+        assert seen == [False] * 5
+        assert gc.isenabled() is gc_before
 
 
 class TestClassifyOncePerRosterOnlyGrid:
@@ -465,6 +486,135 @@ class TestClassifyOncePerRosterOnlyGrid:
                                            {("B",): 1, ("A", "B"): 3, ("C", "A"): 2})
         assert grids == [(frozenset("C"), frozenset("A")), (frozenset("A"), frozenset("B")),
                          (frozenset("B"),)]
+
+
+def _outcome(read):
+    """A profile with its counts in order, or the exception's type and message."""
+    try:
+        profile = read()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return profile, list(profile.counts.items())
+
+
+def _layouts(doc):
+    """A document written compact and with ``json.dumps``'s defaults."""
+    return [json.dumps(doc, separators=(",", ":")).encode(), json.dumps(doc).encode()]
+
+
+class TestDistinctTexts:
+    """``ingest_raw`` reads each distinct ballot text once on compact and default
+    layouts, and gives the general reader's profile, counts order and errors."""
+
+    WRITE_INS_HOLDING_SEPARATORS_AND_ESCAPES = {
+        "candidates": ["A", "B", "C"],
+        "ballots": [[["A"], ["WRITEIN:]],[["], []], [["A"], ["WRITEIN:a]], [[b"], []],
+                    [["B"], ["WRITEIN:q\""], ["A"]], [["C", "WRITEIN:\\"], [], ["B"]],
+                    [["A"], ["WRITEIN:\\\""], []], [["A"], ["WRITEIN:]],[["], []]],
+    }
+
+    @pytest.mark.parametrize("doc", [
+        pytest.param({"candidates": ["A", "B", "C"], "ballots": [
+            VALID, [["WRITEIN:x"], ["B"], ["A"]], VALID, [["C", "B"], [], []],
+            [["WRITEIN:y"], ["B"], ["A"]],
+        ]}, id="repeats-and-write-ins"),
+        pytest.param({"candidates": ["A", "B"], "ballots": [[["B"], ["A"]]]}, id="one-ballot"),
+        pytest.param({"candidates": ['"WRITEIN:x', "A"], "ballots": [
+            [['"WRITEIN:x'], ["A"]], [["WRITEIN:y"], ['"WRITEIN:x']], [['"WRITEIN:x'], ["A"]],
+        ]}, id="roster-name-after-a-quote"),
+        pytest.param(WRITE_INS_HOLDING_SEPARATORS_AND_ESCAPES,
+                     id="write-ins-holding-separators-and-escapes"),
+    ])
+    def test_compact_and_default_layouts_never_decode_the_whole_document(self, monkeypatch, doc):
+        for data in (*_layouts(doc), codecs.BOM_UTF8 + _layouts(doc)[0]):
+            expected = _outcome(lambda: ingest(parse_raw(data)))
+            monkeypatch.setattr(sys.modules["ballotlab.ingest"], "_document",
+                                lambda data: pytest.fail("the general reader ran"))
+            assert _outcome(lambda: ingest_raw(data)) == expected
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("mark", ["WRITEIN:\\]],[[ ]], [[", 'WRITEIN:"]],[[ ]], [[',
+                                      "WRITEIN:\n]],[[ ]], [["])
+    def test_a_separator_in_a_kept_write_in_goes_to_the_general_reader(self, monkeypatch, mark):
+        """A write-in holding ``\\``, ``"`` or a line break does not collapse, so a
+        separator inside it splits a string, and that piece does not decode alone."""
+        module, general = sys.modules["ballotlab.ingest"], []
+        document = module._document
+        monkeypatch.setattr(module, "_document", lambda data: general.append(1) or document(data))
+        doc = {"candidates": ["A", "B"], "ballots": [[["A"], []], [[mark], ["B"]], [["A"], []]]}
+        for data in _layouts(doc):
+            expected = _outcome(lambda: ingest(parse_raw(data)))
+            general.clear()
+            assert _outcome(lambda: ingest_raw(data)) == expected
+            assert general == [1]
+
+    def test_roster_name_after_a_quote_keeps_its_votes(self):
+        """An escaped quote before the write-in prefix turns the collapse off, so
+        ``"WRITEIN:x`` is not read as ``"WRITEIN:``, another name on the roster."""
+        roster = ('"WRITEIN:x', '"WRITEIN:', "A")
+        data = raw_doc([[['"WRITEIN:x'], ["A"], []], [["WRITEIN:y"], ['"WRITEIN:'], []]], roster)
+        assert ingest_raw(data) == CondensedProfile(
+            roster, {('"WRITEIN:x', "A"): 1, ('"WRITEIN:',): 1})
+
+    def test_each_distinct_rank_of_the_distinct_texts_is_checked_once(self, monkeypatch):
+        module, calls = sys.modules["ballotlab.ingest"], []
+        check_rank = module._check_rank
+
+        def spy(i, j, raw_rank, roster_set):
+            calls.append((i, j, raw_rank))
+            return check_rank(i, j, raw_rank, roster_set)
+
+        monkeypatch.setattr(module, "_check_rank", spy)
+        ingest_raw(raw_doc(TestOneCheckPerDistinctRank.BALLOTS))
+        # Ballot 1 repeats ballot 0's text; write-ins collapse to the bare prefix.
+        assert calls == [(0, 0, ["A"]), (0, 1, ["B"]), (0, 2, []), (1, 0, ["B", "A"]),
+                         (3, 0, ["A", "B"]), (3, 1, ["WRITEIN:"])]
+
+    @pytest.mark.parametrize(("data", "message"), [
+        pytest.param(b'{"candidates": ["A", "B"], "ballots": [[["A"], []], '
+                     b'[["WRITEIN:a\x01"], ["B"]]]}',
+                     "raw document syntax error at line 1, column 65: Invalid control character at",
+                     id="control-character-in-a-write-in"),
+        pytest.param(b'{"candidates": ["A", "B"], "ballots": [[["A"], []],\n'
+                     b' [["B"], ["WRITEIN:\x1f"]]]}',
+                     "raw document syntax error at line 2, column 20: Invalid control character at",
+                     id="control-character-on-line-2"),
+        pytest.param(b'{"candidates": ["A", "B"], "ballots": [[["A"], [], []], '
+                     b'[["B"], {"x": 1, "x": 2}, []]]}',
+                     "raw document repeats field 'x'", id="object-rank-repeating-a-key"),
+        pytest.param(b'{"candidates": ["A", "B"], "ballots": [[["A"], []], [[NaN], []]]}',
+                     "ballot 1 rank 1 must be an array of mark strings", id="nan-mark"),
+        pytest.param(b'{"candidates": ["A", "B"], "ballots": [[["A"], []], [['
+                     + b"[" * 100_000 + b"]" * 100_000 + b"]]]}",
+                     "raw document cannot be read: ", id="deep-nesting"),
+        pytest.param(b'{"candidates": ["A", "B"], "ballots": [[["A"], []], [["B"]]]}',
+                     "ballot 1 has 1 rank positions, expected 2", id="ragged"),
+        pytest.param(b'{"candidates": ["A", "B", "C", "D"], "ballots": [[["A"], [], [], []], '
+                     b'[["A", "B", "C"], [], [], []]]}',
+                     "top-rank overvote of 3 marks covers neither two candidates nor the "
+                     "whole roster",
+                     id="unclassifiable"),
+    ])
+    def test_errors_come_from_the_general_reader(self, data, message):
+        expected = _outcome(lambda: ingest(parse_raw(data)))
+        assert expected[1].startswith(message)
+        assert _outcome(lambda: ingest_raw(data)) == expected
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(b'{"ballots": [[["A"], []], [["B"], ["A"]]], "candidates": ["A", "B"]}',
+                     id="ballots-before-candidates"),
+        pytest.param(b'{"candidates": ["A", "B"], "ballots": [[], [], []]}',
+                     id="zero-rank-ballots"),
+        pytest.param(b'{"candidates": ["A", "B"], "ballots": [[[]], [[]], [["A"]]]}',
+                     id="empty-ranks"),
+        pytest.param(b'{"candidates": ["A", "B"], "ballots": []}', id="no-ballots"),
+        pytest.param(b' {"candidates" : ["A", "B"] , "ballots" :[[["A"], []],'
+                     b'\r\n\t[["B"], []]] }\n',
+                     id="whitespace-everywhere"),
+    ])
+    def test_edge_cases_match_the_general_reader(self, data):
+        """Some of these take the distinct-text reader, some the general one."""
+        assert _outcome(lambda: ingest_raw(data)) == _outcome(lambda: ingest(parse_raw(data)))
 
 
 class TestCondensedFile:

@@ -199,6 +199,54 @@ class TestRawIngest:
         assert one_pass == two_pass == _outcome(lambda: per_ballot_ingest(doc))
 
 
+# Write-in text that holds a ballot separator, an escape, a quote or a control character.
+TRICKY_WRITE_INS = st.one_of(
+    st.sampled_from(('WRITEIN:\\"]],[[', 'WRITEIN:"]], [[', "WRITEIN:\\\\]],[[")),
+    st.text(alphabet='ab[], "\\\n\x01', max_size=8).map("WRITEIN:".__add__))
+# Roster names that an escaped quote precedes, one the other's prefix, or holding a separator.
+TRICKY_NAMES = {"A": ("A", '"WRITEIN:A', "A]],[[A", "A]], [[A"), "B": ("B", '"WRITEIN:')}
+# Compact and json.dumps's default layouts take the distinct-text reader; indented ones do not.
+LAYOUTS = ({"separators": (",", ":")}, {}, {"indent": 1})
+
+
+@st.composite
+def layout_documents(draw):
+    """raw_documents() with tricky write-ins, sometimes tricky names for A and
+    B, and now and then every ballot emptied of its ranks."""
+    doc = draw(raw_documents())
+    names = {w: draw(TRICKY_WRITE_INS) for w in WRITE_INS}
+    names.update((name, draw(st.sampled_from(spelt))) for name, spelt in TRICKY_NAMES.items())
+
+    def rename(rank):
+        if not isinstance(rank, list):
+            return rank
+        return [names.get(m, m) if isinstance(m, str) else m for m in rank]
+
+    ballots = [list(map(rename, ballot)) for ballot in doc["ballots"]]
+    if draw(st.integers(0, 9)) == 9:  # Hypothesis favours small draws
+        ballots = [[] for _ in ballots]
+    return {"candidates": rename(doc["candidates"]), "ballots": ballots}
+
+
+def _counted(read):
+    """A profile with its counts in order, or the exception's type and message."""
+    try:
+        profile = read()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return profile, list(profile.counts.items())
+
+
+class TestRawLayouts:
+    @given(layout_documents())
+    @example({"candidates": ['"WRITEIN:A', '"WRITEIN:', "C"],
+              "ballots": [[['"WRITEIN:A'], ["C"], []], [["WRITEIN:b"], ['"WRITEIN:'], []]]})
+    def test_every_layout_reads_as_parse_then_ingest(self, doc):
+        for layout in LAYOUTS:
+            data = json.dumps(doc, **layout).encode()
+            assert _counted(lambda: ingest_raw(data)) == _counted(lambda: ingest(parse_raw(data)))
+
+
 @st.composite
 def hand_built_documents(draw, deep=False):
     """RawCvrDocuments made without parse_raw: up to 6 candidates, sometimes
