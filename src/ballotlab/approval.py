@@ -117,12 +117,10 @@ class Scenario(Record):
     def scores_over(self, profile: CondensedProfile, base: dict[str, int]) -> dict[str, Fraction]:
         """``base``, the :func:`score_lines` base, plus each group's second choices."""
         (field,) = self.__slots__
-        sizes: dict[tuple[str, ...], int] = {}  # rankings per first two names, in one pass
-        for prefs, n in profile.rankings():
-            sizes[prefs[:2]] = sizes.get(prefs[:2], 0) + n
+        sizes = profile.group_sizes()
         scores = {c: Fraction(n) for c, n in base.items()}
         for group, value in self.resolve(profile, getattr(self, field)).items():
-            scores[group[1]] += value * sizes.get(group, 0)
+            scores[group[1]] += value * sizes[group]
         return scores
 
 

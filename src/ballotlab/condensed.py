@@ -126,11 +126,7 @@ def write_condensed(profile: CondensedProfile) -> bytes:
     lines = ["pattern,count"]
     for c in profile.candidates:
         lines.append(f"bullet:{_check_name(c)},{profile.bullet_count(c)}")
-    heads = dict.fromkeys(profile.ranking_groups(), 0)
-    for prefs, n in profile.rankings():
-        if len(prefs) > 1:
-            heads[prefs[:2]] += n
-    for (first, second), n in heads.items():
+    for (first, second), n in profile.group_sizes().items():
         lines.append(f"full:{first}>{second},{n}")
     if len(profile.candidates) > 2:  # two names of two are the all-way over3 row
         for a, b in profile.candidate_pairs():

@@ -94,16 +94,14 @@ def condorcet_winner_loser(tally: PairwiseTally) -> CondorcetReport:
     return CondorcetReport(winner=winner, loser=loser, margins=margins)
 
 
-def detect_center_squeeze(
-    profile: CondensedProfile, *, break_ties_by_roster: bool = False
-) -> CenterSqueeze:
+def detect_center_squeeze(profile: CondensedProfile) -> CenterSqueeze:
     """Diagnose whether the Condorcet winner fell before the final round.
 
     Uses the ranked-only basis; propagates the tabulator's tie error.
     """
     from .irv import tabulate_irv  # here, so head-to-head commands compile no IRV code
     report = condorcet_winner_loser(pairwise_tallies(profile, RANKED_ONLY))
-    outcome = tabulate_irv(profile, break_ties_by_roster=break_ties_by_roster)
+    outcome = tabulate_irv(profile)
 
     eliminated_in = None
     if report.winner is not None:

@@ -263,7 +263,7 @@ class CondensedProfile(Record):
 
     def full_count(self, first: str, second: str) -> int:
         """Rankings whose first two names are ``first`` then ``second``."""
-        return sum(n for prefs, n in self.rankings() if prefs[:2] == (first, second))
+        return self.group_sizes().get((first, second), 0)
 
     def over2_count(self, a: str, b: str) -> int:
         """Two-way top overvotes of ``a`` and ``b``; on two candidates the pair is all-way."""
@@ -277,6 +277,15 @@ class CondensedProfile(Record):
             for second in self.candidates
             if first != second
         )
+
+    def group_sizes(self) -> dict[tuple[str, str], int]:
+        """Rankings per (first, second) group: every :meth:`ranking_groups`
+        group, in its order, zero counts included."""
+        sizes = dict.fromkeys(self.ranking_groups(), 0)
+        for prefs, n in self.rankings():
+            if len(prefs) > 1:
+                sizes[prefs[:2]] += n
+        return sizes
 
     def candidate_pairs(self) -> tuple[tuple[str, str], ...]:
         """Unordered candidate pairs, each as a roster-ordered tuple."""

@@ -13,12 +13,11 @@ separator such as ``]],[[`` or ``]], [[``.  Write-in marks collapse to the
 bare prefix before ballot texts are counted, since write-ins are dropped
 anyway, and each distinct text is decoded and checked once.  Every other
 layout (an indented one, fields in another order), and every document with
-an error, goes to the general reader, which decodes the whole document;
-so every error message comes from it.  The library's :func:`parse_raw`
-decodes as the general reader does.  Every path runs the same checks,
-:func:`_grids`: each ballot's shape, then each distinct raw rank once.
-Every path ends in one tail, :func:`_tally`, whose profile keeps each
-ranking whole; the condensed file keeps only its first two names.
+an error, goes to ``ingest(parse_raw(data))``, which names every error.
+Both paths run the same checks, :func:`_grids`: each ballot's shape, then
+each distinct raw rank once.  Both drop write-ins through one reduction,
+``_WithoutWriteIns``, and end in one tail, :func:`_tally`, whose profile
+keeps each ranking whole; the condensed file keeps only its first two names.
 
 The package registers this module lazily (see its docstring), so only a
 command that reads a raw CVR executes it and imports ``json``, ``re`` and
@@ -91,36 +90,23 @@ def parse_raw(data: bytes) -> RawCvrDocument:
 @_gc_paused
 def ingest_raw(data: bytes) -> CondensedProfile:
     """``ingest(parse_raw(data))``, reading each distinct ballot text once
-    where the layout allows (see the module docstring), else in one pass of
-    the general reader.
+    where the layout allows (see the module docstring).
 
-    Each rank's raw marks map once to their roster-only mark set, and each
-    ballot is counted under its roster-only grid; no per-voter ballot is
-    kept.  ``classify_ballot`` runs only after every ballot passed the checks
-    of :func:`_grids`, so a parse error comes ahead of a classification error.
+    There, each rank's raw marks lose their write-ins once, and each ballot
+    text is counted under its roster-only grid; no per-voter ballot is kept.
+    ``classify_ballot`` runs only after every ballot passed the checks of
+    :func:`_grids`, so a parse error comes ahead of a classification error.
     """
     try:
         distinct = _distinct_texts(data)
         if distinct is not None:
             roster, raw_ballots, counts = distinct
-            return _tally(zip(_roster_only_grids(raw_ballots, roster), counts), roster)
+            roster_set = frozenset(roster)
+            grids = list(_grids(raw_ballots, roster_set, _WithoutWriteIns(roster_set).__getitem__))
+            return _tally(zip(grids, counts), roster)
     except (ValueError, StopIteration, RecursionError):  # ParseError, MalformedBallotError too
-        pass  # the general reader names the error
-    roster, raw_ballots = _document(data)
-    return _tally(Counter(_roster_only_grids(raw_ballots, roster)).items(), roster)
-
-
-def _roster_only_grids(raw_ballots: list, roster: tuple[str, ...]) -> list:
-    """Every raw ballot's roster-only grid, each checked by :func:`_grids`;
-    one shared set per roster-only mark set."""
-    roster_set = frozenset(roster)
-    kept: dict[frozenset[str], frozenset[str]] = {}
-
-    def roster_only(marks: frozenset[str]) -> frozenset[str]:
-        marks &= roster_set
-        return kept.setdefault(marks, marks)
-
-    return list(_grids(raw_ballots, roster_set, roster_only))
+        pass  # parse_raw then ingest name the error
+    return ingest(parse_raw(data))
 
 
 _WS = r"[ \t\n\r]*"  # JSON's whitespace
@@ -142,7 +128,7 @@ def _distinct_texts(data: bytes) -> tuple[tuple[str, ...], list, list[int]] | No
     splits at its first ballot separator, and each distinct piece must then
     decode, alone, as exactly one ballot, so the pieces rejoined are the
     ``ballots`` array that ``json.loads`` would read.
-    A document it cannot read raises, for the general reader to name."""
+    A document it cannot read raises, for :func:`parse_raw` to name."""
     text = data.decode("utf-8-sig")
     head = _HEAD.match(text)
     if not head:
@@ -218,7 +204,9 @@ def _document(data: bytes) -> tuple[tuple[str, ...], list]:
 
 def _grids(raw_ballots: list, roster_set: frozenset[str], rank_marks):
     """Check each raw ballot in file order and yield its grid: the tuple of
-    ``rank_marks(marks)`` over each rank's mark set.
+    ``rank_marks(marks)`` over each rank's mark set.  :func:`parse_raw` keeps
+    the marks as they are; :func:`ingest_raw` drops their write-ins through
+    ``_WithoutWriteIns``.
 
     Each ballot gets only its shape checks: an array with the first ballot's
     rank count.  :func:`_check_rank` runs once per distinct raw rank; an array

@@ -167,9 +167,10 @@ def emit_range_plot_data(minimum: dict[str, int], profile, span: int) -> bytes:
     stars), so a candidate's rows always sum to their range maximum.
     """
     report = Report("", tuple(map(Column, ("candidate", "segment", "source", "value"))))
+    sizes = profile.group_sizes()
     for c in profile.candidates:
         report.add(c, "base", "", minimum[c])
         for rival in profile.candidates:
             if rival != c:
-                report.add(c, "potential", rival, span * profile.full_count(rival, c))
+                report.add(c, "potential", rival, span * sizes[rival, c])
     return _emit_csv(report)

@@ -86,7 +86,7 @@ class TestCenterSqueeze:
 
     def test_agreeing_winner_is_not_squeezed(self):
         profile = CondensedProfile(ABC, {("A",): 3, ("B",): 1, ("C",): 1})
-        diag = detect_center_squeeze(profile, break_ties_by_roster=True)
+        diag = detect_center_squeeze(profile)
         assert diag.condorcet_winner == "A"
         assert diag.irv_winner == "A"
         assert diag.squeezed is False

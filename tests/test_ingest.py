@@ -309,8 +309,8 @@ class TestRepeatedGridErrors:
 class TestOneCheckPerDistinctRank:
     """Each distinct raw array rank is checked once, in file order, up to the first error.
 
-    The documents are indented, a layout that ``ingest_raw`` reads with the
-    general reader, as ``parse_raw`` does; the distinct-text reader's checks
+    The documents are indented, a layout that ``ingest_raw`` reads with
+    ``parse_raw`` then ``ingest``; the distinct-text reader's checks
     are in ``TestDistinctTexts``."""
 
     BALLOTS = [
@@ -401,7 +401,7 @@ class TestGcPause:
         assert gc.isenabled() is gc_before
 
     def test_one_pass_pauses_the_collector_from_decoding_to_condensing(self, gc_before, monkeypatch):
-        """The general reader (an indented document): one ``json.loads``, two grids."""
+        """``parse_raw`` then ``ingest`` (an indented document): one ``json.loads``, two grids."""
         seen = []
         loads = json.loads
         monkeypatch.setattr(
@@ -504,7 +504,7 @@ def _layouts(doc):
 
 class TestDistinctTexts:
     """``ingest_raw`` reads each distinct ballot text once on compact and default
-    layouts, and gives the general reader's profile, counts order and errors."""
+    layouts, and gives ``ingest(parse_raw(data))``'s profile, counts order and errors."""
 
     WRITE_INS_HOLDING_SEPARATORS_AND_ESCAPES = {
         "candidates": ["A", "B", "C"],
@@ -615,6 +615,30 @@ class TestDistinctTexts:
     def test_edge_cases_match_the_general_reader(self, data):
         """Some of these take the distinct-text reader, some the general one."""
         assert _outcome(lambda: ingest_raw(data)) == _outcome(lambda: ingest(parse_raw(data)))
+
+
+class TestLibraryFallback:
+    """A layout the distinct-text reader does not take, or an error, is read
+    once by the library's ``parse_raw`` and, when that succeeds, ``ingest``."""
+
+    BALLOTS = [[["A"], ["B"], []], [["WRITEIN:x"], ["C"], ["A"]], [["A"], ["B"], []]]
+
+    @pytest.mark.parametrize(("data", "parsed"), [
+        pytest.param(json.dumps({"candidates": ["A", "B", "C"], "ballots": BALLOTS},
+                                indent=1).encode(), True, id="indent-1"),
+        pytest.param(json.dumps({"ballots": BALLOTS, "candidates": ["A", "B", "C"]}).encode(),
+                     True, id="ballots-before-candidates"),
+        pytest.param(raw_doc([*BALLOTS, [["A"], ["D"], []]]), False, id="parse-error"),
+    ])
+    def test_parse_raw_then_ingest_each_run_once(self, monkeypatch, data, parsed):
+        module, calls = sys.modules["ballotlab.ingest"], []
+        for name in ("parse_raw", "ingest"):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda arg, name=name, original=original:
+                                calls.append(name) or original(arg))
+        expected = _outcome(lambda: ingest(parse_raw(data)))
+        assert _outcome(lambda: ingest_raw(data)) == expected
+        assert calls == (["parse_raw", "ingest"] if parsed else ["parse_raw"])
 
 
 class TestCondensedFile:

@@ -384,6 +384,20 @@ class TestKeyCounts:
                 == sum(profile.counts.values()))
 
 
+class TestGroupSizes:
+    @given(st.one_of(named_profiles(), key_maps().map(lambda case: CondensedProfile(*case))))
+    def test_each_group_counts_the_rankings_it_heads(self, profile):
+        """Every ranking group, in order, with the rankings whose first two names it is."""
+        sizes = profile.group_sizes()
+        assert list(sizes) == list(profile.ranking_groups())
+        for group, size in sizes.items():
+            heads = 0
+            for key, n in profile.counts.items():
+                if isinstance(key, tuple) and key[:2] == group:
+                    heads += n
+            assert size == heads == profile.full_count(*group)
+
+
 class TestTopChoices:
     @given(named_profiles())
     def test_matches_per_ballot_count_for_every_ordered_subset(self, profile):
