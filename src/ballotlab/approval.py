@@ -248,9 +248,11 @@ def min_second_votes_to_clinch(profile: CondensedProfile, candidate: str, from_g
     The target is to strictly exceed every rival's maximum possible
     count.  Raises :class:`UnattainableError` (carrying the required
     number) when the group is too small to supply it, and ``ValueError``
-    when the group does not rank ``candidate`` second or is not a
-    (first, second) pair of distinct candidates on the roster.
+    first on a roster of other than 2 or 3 candidates, then when the group
+    does not rank ``candidate`` second or is not a (first, second) pair of
+    distinct candidates on the roster.
     """
+    _require_roster(profile)
     if from_group[1] != candidate:
         raise ValueError(
             f"group {from_group[0]}>{from_group[1]} does not rank {candidate!r} second"
@@ -353,6 +355,7 @@ def eval_report(args, profile: CondensedProfile) -> Report:
 
 
 def threshold_report(args, profile: CondensedProfile) -> Report:
+    _require_roster(profile)
     p = uniform_threshold(profile, args.riser, args.leader)
     if p is None:
         raise UnattainableError(

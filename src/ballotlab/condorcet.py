@@ -59,20 +59,16 @@ class CenterSqueeze(Record):
 
 
 def pairwise_tallies(profile: CondensedProfile, basis: str = RANKED_ONLY) -> PairwiseTally:
-    """Tally every head-to-head contest implied by the profile."""
+    """Tally every head-to-head contest implied by the profile; the counts
+    are :meth:`CondensedProfile.preferences` on the basis."""
     if basis not in (RANKED_ONLY, INCLUDE_TIES):
         raise ValueError(f"unknown basis {basis!r}")
 
     include_ties = basis == INCLUDE_TIES
     total = profile.total_with_preference if include_ties else profile.total_valid_ranked
-    prefers: dict[tuple[str, str], int] = {}
-    no_preference: dict[frozenset[str], int] = {}
-    for a, b in profile.candidate_pairs():
-        above_a, above_b = profile.head_to_head(a, b, include_ties)
-        prefers[(a, b)] = above_a
-        prefers[(b, a)] = above_b
-        no_preference[frozenset((a, b))] = total - above_a - above_b
-
+    prefers = profile.preferences(include_ties)
+    no_preference = {frozenset((a, b)): total - prefers[a, b] - prefers[b, a]
+                     for a, b in profile.candidate_pairs()}
     return PairwiseTally(profile.candidates, basis, prefers, no_preference, total)
 
 

@@ -319,20 +319,31 @@ class CondensedProfile(Record):
                     break
         return counts
 
-    def head_to_head(self, a: str, b: str, include_ties: bool = False) -> tuple[int, int]:
-        """Ballots ranking ``a`` above ``b``, and ``b`` above ``a``.
+    def preferences(self, include_ties: bool = False) -> dict[tuple[str, str], int]:
+        """Ballots ranking ``a`` above ``b``, per ordered pair: each of
+        :meth:`candidate_pairs` as ``(a, b)`` then ``(b, a)``, zeros included.
 
-        The rankings are the pair's :meth:`top_choices`.  With
-        ``include_ties`` a two-way top overvote ranks its pair above
-        everyone else and neither member above the other; all-way
-        overvotes never rank anyone above anyone.
+        A ranking places each of its names above every later and every
+        unranked name.  With ``include_ties`` a two-way top overvote places
+        its pair above everyone else and neither member above the other;
+        all-way overvotes never place anyone above anyone.
         """
-        votes = self.top_choices((a, b))
+        prefers = {}
+        for a, b in self.candidate_pairs():
+            prefers[a, b] = prefers[b, a] = 0
+        for names, n in self.rankings():
+            below = [c for c in self.candidates if c not in names]
+            for a in reversed(names):
+                for c in below:
+                    prefers[a, c] += n
+                below.append(a)
         if include_ties:
             for pair, n in self.two_way_overvotes():
-                if (a in pair) != (b in pair):
-                    votes[a if a in pair else b] += n
-        return votes[a], votes[b]
+                for a in pair:
+                    for c in self.candidates:
+                        if c not in pair:
+                            prefers[a, c] += n
+        return prefers
 
 
 def condense(keys: Iterable[ProfileKey], roster: Sequence[str]) -> CondensedProfile:

@@ -12,12 +12,12 @@ is bit-exact.
 
 The runoff compares the two finalists ballot by ballot.  Since any
 rating in [1, 4] lies strictly between 5 stars and 0, it is the
-include-ties head-to-head count (:meth:`CondensedProfile.head_to_head`):
+include-ties head-to-head count (:meth:`CondensedProfile.preferences`):
 a two-way top overvote of both finalists records "no preference", and a
 ballot scoring neither carries no runoff vote.  No scenario changes it,
-so the runoff tallies are one fixed table per profile.  A sweep compares
-integer scores per grid point against that table, and a threshold solves
-its score line for the least hundredth.
+so a sweep counts the preferences once and compares integer scores per
+grid point against them, and a threshold solves its score line for the
+least hundredth.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ from .rational import decimal_string
 from .report import Cell, Column, Report
 
 STAR = Scale(5, 1, 4, True, "star rating", "stars")
-
-# Runoff counts ``(votes_a, votes_b, no_preference)`` per ordered pair ``(a, b)``.
-RunoffTable = dict[tuple[str, str], tuple[int, int, int]]
 
 
 class StarScenario(Scenario):
@@ -79,19 +76,8 @@ def star_range(profile: CondensedProfile) -> StarRange:
     return StarRange(*score_range(profile, STAR))
 
 
-def _runoff_table(profile: CondensedProfile) -> RunoffTable:
-    """The include-ties head-to-head count for every ordered candidate pair."""
-    table: RunoffTable = {}
-    for a, b in profile.candidate_pairs():
-        votes_a, votes_b = profile.head_to_head(a, b, include_ties=True)
-        no_pref = profile.over2_count(a, b)
-        table[(a, b)] = votes_a, votes_b, no_pref
-        table[(b, a)] = votes_b, votes_a, no_pref
-    return table
-
-
 def _pick_finalists(candidates: tuple[str, ...], scores: dict[str, int | Fraction],
-                    table: RunoffTable) -> tuple[str, str]:
+                    prefers: dict[tuple[str, str], int]) -> tuple[str, str]:
     ordered = sorted(candidates, key=lambda c: scores[c], reverse=True)
     if len(ordered) == 2 or scores[ordered[1]] > scores[ordered[2]]:
         pair = ordered[:2]
@@ -99,14 +85,13 @@ def _pick_finalists(candidates: tuple[str, ...], scores: dict[str, int | Fractio
         # Two-way tie for the second berth: the head-to-head between the
         # tied candidates decides it.
         x, y = ordered[1], ordered[2]
-        vx, vy, _ = table[(x, y)]
-        if vx == vy:
+        if prefers[x, y] == prefers[y, x]:
             raise DecisiveTieError(
                 f"score and head-to-head both tie {x} with {y} for the second "
                 "runoff spot",
                 tied=(x, y),
             )
-        pair = [ordered[0], x if vx > vy else y]
+        pair = [ordered[0], x if prefers[x, y] > prefers[y, x] else y]
     else:
         raise DecisiveTieError(
             "all three candidates tied in the score round", tied=tuple(ordered)
@@ -114,34 +99,28 @@ def _pick_finalists(candidates: tuple[str, ...], scores: dict[str, int | Fractio
     return tuple(c for c in candidates if c in pair)  # type: ignore[return-value]
 
 
-def _runoff(candidates: tuple[str, ...], scores: dict[str, int | Fraction], table: RunoffTable):
-    """Finalists, their runoff ``(votes_a, votes_b, no_preference)`` and the winners."""
-    finalists = _pick_finalists(candidates, scores, table)
-    a, b = finalists
-    tallies = table[finalists]
-    votes_a, votes_b, _ = tallies
-    if votes_a > votes_b:
-        winners: tuple[str, ...] = (a,)
-    elif votes_b > votes_a:
-        winners = (b,)
-    else:
-        winners = finalists
-    return finalists, tallies, winners
+def _runoff(candidates: tuple[str, ...], scores: dict[str, int | Fraction],
+            prefers: dict[tuple[str, str], int]) -> tuple[tuple[str, str], tuple[str, ...]]:
+    """Finalists and the runoff's winners, both on an exact tie."""
+    finalists = a, b = _pick_finalists(candidates, scores, prefers)
+    if prefers[a, b] > prefers[b, a]:
+        return finalists, (a,)
+    if prefers[b, a] > prefers[a, b]:
+        return finalists, (b,)
+    return finalists, finalists
 
 
 def evaluate_star(profile: CondensedProfile, scenario: StarScenario) -> StarOutcome:
     """Score round, finalist selection, and automatic runoff."""
     scores = scenario.scores(profile)
-
-    finalists, (votes_a, votes_b, no_pref), winners = _runoff(
-        profile.candidates, scores, _runoff_table(profile)
-    )
+    prefers = profile.preferences(include_ties=True)
+    finalists, winners = _runoff(profile.candidates, scores, prefers)
     a, b = finalists
     return StarOutcome(
         scores=scores,
         finalists=finalists,
-        runoff_tallies={a: votes_a, b: votes_b},
-        runoff_no_preference=no_pref,
+        runoff_tallies={a: prefers[a, b], b: prefers[b, a]},
+        runoff_no_preference=profile.over2_count(a, b),
         winners=winners,
     )
 
@@ -177,14 +156,14 @@ def sweep_star(profile: CondensedProfile, grid_step, *, start=STAR.low,
                end=STAR.high) -> list[tuple[Fraction, tuple[str, ...]]]:
     """Winners at every uniform rating ``start, start+step, ...`` up to ``end``.
 
-    See :func:`ballotlab.approval.sweep`; the runoff table, which no
-    rating in [1, 4] changes, is computed once per call.  A score-round
+    See :func:`ballotlab.approval.sweep`; the runoff preferences, which
+    no rating in [1, 4] changes, are counted once per call.  A score-round
     tie raises :class:`DecisiveTieError` at the first grid point where it
     occurs.
     """
-    table = _runoff_table(profile)
+    prefers = profile.preferences(include_ties=True)
     return sweep(profile, STAR, grid_step, start, end,
-                 lambda scores: _runoff(profile.candidates, scores, table)[2])
+                 lambda scores: _runoff(profile.candidates, scores, prefers)[1])
 
 
 # Command-line report builders: (parsed arguments, profile) -> Report.

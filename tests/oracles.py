@@ -100,14 +100,19 @@ def brute_top_choices(profile: CondensedProfile, among) -> dict[str, int]:
 
 
 def brute_pairwise(profile: CondensedProfile, include_ties: bool):
-    """Head-to-head counts by scanning every ballot individually."""
+    """Head-to-head counts by scanning every ballot individually.
+
+    Each key of ``profile.counts`` is expanded on its own into its ballots,
+    each a map from name to position: a ranking of any length numbers its
+    names top first, a two-way overvote puts both names first, and an
+    all-way overvote or a blank is no ballot here.
+    """
     counted = []
-    for ballot in expand_ballots(profile):
-        if ballot[0] == "over3":
-            continue
-        if ballot[0] == "over2" and not include_ties:
-            continue
-        counted.append(ballot)
+    for key, n in profile.counts.items():
+        if isinstance(key, tuple) and key:
+            counted += [{c: i for i, c in enumerate(key)}] * n
+        elif include_ties and key and key != frozenset(profile.candidates):
+            counted += [dict.fromkeys(key, 0)] * n
 
     prefers: dict[tuple[str, str], int] = {}
     no_preference: dict[frozenset, int] = {}
@@ -115,7 +120,7 @@ def brute_pairwise(profile: CondensedProfile, include_ties: bool):
         for b in profile.candidates[i + 1:]:
             above_a = above_b = neither = 0
             for ballot in counted:
-                ra, rb = _rank(ballot, a), _rank(ballot, b)
+                ra, rb = ballot.get(a), ballot.get(b)
                 if ra is not None and (rb is None or ra < rb):
                     above_a += 1
                 elif rb is not None and (ra is None or rb < ra):

@@ -357,6 +357,12 @@ class TestRosterRule:
         ["star", "range"], ["star", "range", "--plot-data"],
         ["star", "eval", "--s", "2"], ["star", "sweep"],
     ]
+    # On FOUR these fail their own checks too (C cannot catch A; the group does not
+    # rank A second), so they show the roster rule comes first.
+    ROSTER_FIRST = [
+        ["approval", "threshold", "--riser", "C", "--leader", "A"],
+        ["approval", "clinch", "--candidate", "A", "--group", "A>B"],
+    ]
     REFUSAL = "error: this model needs 2 or 3 candidates, got 4\n"
 
     def profile(self, tmp_path, content) -> str:
@@ -383,7 +389,7 @@ class TestRosterRule:
         assert (code, err) == (0, "")
         assert out
 
-    @pytest.mark.parametrize("command", SCORING, ids=" ".join)
+    @pytest.mark.parametrize("command", SCORING + ROSTER_FIRST, ids=" ".join)
     def test_scoring_commands_refuse_four_candidates(self, capsys, tmp_path, command):
         path = self.profile(tmp_path, self.FOUR)
         code, out, err = invoke(capsys, *command[:2], path, *command[2:])

@@ -384,8 +384,14 @@ class TestKeyCounts:
                 == sum(profile.counts.values()))
 
 
+def deep_profiles():
+    """Profiles of :func:`key_maps`: rosters of 2-6, rankings of up to max(2, N - 1)
+    names, two-way and all-way overvotes, and blanks."""
+    return key_maps().map(lambda case: CondensedProfile(*case))
+
+
 class TestGroupSizes:
-    @given(st.one_of(named_profiles(), key_maps().map(lambda case: CondensedProfile(*case))))
+    @given(st.one_of(named_profiles(), deep_profiles()))
     def test_each_group_counts_the_rankings_it_heads(self, profile):
         """Every ranking group, in order, with the rankings whose first two names it is."""
         sizes = profile.group_sizes()
@@ -409,7 +415,10 @@ class TestTopChoices:
 
 
 class TestPairwiseProperties:
-    @given(st.one_of(profiles(), named_profiles()), st.booleans())
+    @given(st.one_of(profiles(), named_profiles(), deep_profiles()), st.booleans())
+    @example(CondensedProfile(tuple("ABCDE"), {tuple("DBCA"): 3, tuple("AEB"): 2,
+                                               frozenset("CE"): 1, frozenset("ABCDE"): 1}),
+             True)
     def test_matches_per_ballot_enumeration(self, profile, include_ties):
         basis = INCLUDE_TIES if include_ties else RANKED_ONLY
         tally = pairwise_tallies(profile, basis)
@@ -417,6 +426,12 @@ class TestPairwiseProperties:
         assert tally.prefers == prefers
         assert tally.no_preference == no_preference
         assert tally.total == total
+
+    @given(st.one_of(named_profiles(), deep_profiles()), st.booleans())
+    def test_preferences_follow_candidate_pairs(self, profile, include_ties):
+        """Each unordered pair's two counts, in :meth:`candidate_pairs` order."""
+        order = [key for a, b in profile.candidate_pairs() for key in ((a, b), (b, a))]
+        assert list(profile.preferences(include_ties)) == order
 
     @given(profiles())
     def test_pair_accounting(self, profile):
