@@ -9,12 +9,14 @@ arithmetic.
 The raw-CVR reader (``ingest``), the model modules (``irv``,
 ``condorcet``, ``approval``, ``star``) and the report layer (``report``,
 ``rational``) are registered in ``sys.modules`` at import but execute on
-first attribute access.  Each model module ends with the report builders
-of its commands, so a command-line process compiles and runs only the
-reader, model, builder and renderer it needs: ``ingest`` loads no report
-layer, nor ``fractions`` or ``decimal``.  Public names are served from
-here on demand and behave exactly like eager re-exports;
-``ballotlab.ingest`` is the function, not the module.
+first attribute access; ``scoring``, the model ``approval`` and ``star``
+share, is not registered and runs when they import it.  Each model
+module ends with the report builders of its commands, so a command-line
+process compiles and runs only the reader, model, builder and renderer
+it needs: ``ingest`` loads no report layer, nor ``fractions`` or
+``decimal``.  Public names are served from here on demand and behave
+exactly like eager re-exports; ``ballotlab.ingest`` is the function, not
+the module.
 """
 
 __version__ = "1.0.0"
@@ -53,8 +55,8 @@ _LAZY_EXPORTS = {
     ),
     "approval": (
         "ApprovalOutcome",
-        "ApprovalRange",
         "ApprovalScenario",
+        "ScoreRange",
         "approval_range",
         "evaluate_approval",
         "min_second_votes_to_clinch",
@@ -63,7 +65,6 @@ _LAZY_EXPORTS = {
     ),
     "star": (
         "StarOutcome",
-        "StarRange",
         "StarScenario",
         "StarThreshold",
         "evaluate_star",

@@ -1,6 +1,6 @@
 """STAR-voting counterfactual: score round plus automatic runoff.
 
-The behavioral model is the approval one (see :mod:`ballotlab.approval`)
+The behavioral model is the shared one of :mod:`ballotlab.scoring`
 on a 0-5 star scale: a supported first choice or two-way top-overvote
 pair member gets 5 stars, a third choice 0, and all-way overvoters are
 excluded.  Voters with a full ranking keep their preference order alive
@@ -24,12 +24,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .approval import (Group, Scale, Scenario, check_pair, range_table, scenario_rates,
-                       score_lines, score_range, sweep)
 from .core import CondensedProfile, Record
 from .errors import DecisiveTieError, UnattainableError
 from .rational import decimal_string
 from .report import Cell, Column, Report
+from .scoring import (Group, Scale, Scenario, ScoreRange, check_pair, range_table, scenario_rates,
+                      score_lines, score_range, sweep)
 
 STAR = Scale(5, 1, 4, True, "star rating", "stars")
 
@@ -56,13 +56,6 @@ class StarOutcome(Record):
     winners: tuple[str, ...]
 
 
-class StarRange(Record):
-    """Score range per candidate: all second choices at 1 star vs at 4."""
-
-    minimum: dict[str, int]
-    maximum: dict[str, int]
-
-
 class StarThreshold(Record):
     """Least uniform second-choice rating that locks in a runoff berth."""
 
@@ -71,9 +64,9 @@ class StarThreshold(Record):
     rival_maximum: int
 
 
-def star_range(profile: CondensedProfile) -> StarRange:
+def star_range(profile: CondensedProfile) -> ScoreRange:
     """Minimum and maximum possible star score per candidate."""
-    return StarRange(*score_range(profile, STAR))
+    return score_range(profile, STAR)
 
 
 def _pick_finalists(candidates: tuple[str, ...], scores: dict[str, int | Fraction],
@@ -156,7 +149,7 @@ def sweep_star(profile: CondensedProfile, grid_step, *, start=STAR.low,
                end=STAR.high) -> list[tuple[Fraction, tuple[str, ...]]]:
     """Winners at every uniform rating ``start, start+step, ...`` up to ``end``.
 
-    See :func:`ballotlab.approval.sweep`; the runoff preferences, which
+    See :func:`ballotlab.scoring.sweep`; the runoff preferences, which
     no rating in [1, 4] changes, are counted once per call.  A score-round
     tie raises :class:`DecisiveTieError` at the first grid point where it
     occurs.

@@ -751,7 +751,7 @@ class TestDeterminism:
 # other README command before the CLI became one command table.  The
 # 1/62291 grid lands on the exact Begich-Peltola crossing 21738/62291, a
 # tied row; it was recorded before the score lines were counted in
-# ``approval.score_lines`` alone.  The input follows the command words; a
+# ``score_lines`` alone.  The input follows the command words; a
 # ``None`` format passes no ``--format`` flag; ``ingest`` reads RAW_CVR.
 # Table output ends in a provenance line carrying the argv and the package
 # version.
@@ -983,19 +983,37 @@ class TestHugeExponents:
                                b"digits, too long for machine output; table output rounds it\n")
 
 
+MODEL_MODULES = {"approval.py", "condorcet.py", "irv.py", "scoring.py", "star.py"}
+
+
 class TestLazyModelModules:
-    ALSO_RUNS = {"squeeze": {"irv.py"}}  # the diagnostic runs the IRV count
+    # The flags a command needs to render its report on the fixture.
+    REPORT_FLAGS = {
+        "approval eval": ["--p", "1/2"],
+        "approval threshold": ["--riser", "Begich", "--leader", "Peltola"],
+        "approval clinch": ["--candidate", "Begich", "--group", "Peltola>Begich"],
+        "star eval": ["--s", "2"],
+        "star threshold": ["--guaranteed", "Begich", "--rival", "Palin"],
+    }
+    # Modules a command runs besides its builder's: the squeeze diagnostic runs the IRV
+    # count, and approval and STAR score with the model they share.
+    ALSO_RUNS = {"squeeze": {"irv.py"},
+                 **dict.fromkeys((c for c in BUILDERS if c.startswith(("approval ", "star "))),
+                                 {"scoring.py"})}
 
     @pytest.mark.parametrize("command, flags, absent", [
         ("irv", [],
          {"approval.py", "star.py", "condorcet.py", "dataclasses.py", "inspect.py"}),
         ("approval sweep", ["--format", "csv"],
          {"star.py", "condorcet.py", "irv.py", "hashlib.py", "dataclasses.py", "inspect.py"}),
-        ("star eval", [], {"condorcet.py", "irv.py", "dataclasses.py", "inspect.py"}),
+        ("star eval", [], {"approval.py", "condorcet.py", "irv.py", "dataclasses.py", "inspect.py"}),
         ("squeeze", [], {"approval.py", "star.py", "dataclasses.py", "inspect.py"}),
         ("pairwise", [], {"irv.py", "approval.py", "star.py", "dataclasses.py", "inspect.py"}),
         ("star sweep", ["--format", "csv"],
-         {"condorcet.py", "irv.py", "dataclasses.py", "inspect.py"}),
+         {"approval.py", "condorcet.py", "irv.py", "dataclasses.py", "inspect.py"}),
+        ("star range", [], {"approval.py", "condorcet.py", "irv.py", "dataclasses.py", "inspect.py"}),
+        ("star threshold", REPORT_FLAGS["star threshold"],
+         {"approval.py", "condorcet.py", "irv.py", "dataclasses.py", "inspect.py"}),
     ])
     def test_command_executes_only_the_modules_it_uses(self, alaska_csv, command, flags, absent):
         result = _audit(*command.split(), str(alaska_csv), *flags)
@@ -1014,16 +1032,7 @@ class TestLazyModelModules:
         """``--help`` builds the parser for the path, with its flags, then exits."""
         result = _audit(*path.split(), "--help")
         assert result["code"] == 0
-        assert not {"approval.py", "condorcet.py", "irv.py", "star.py"} & set(result["executed"])
-
-    # The flags a command needs to render its report on the fixture.
-    REPORT_FLAGS = {
-        "approval eval": ["--p", "1/2"],
-        "approval threshold": ["--riser", "Begich", "--leader", "Peltola"],
-        "approval clinch": ["--candidate", "Begich", "--group", "Peltola>Begich"],
-        "star eval": ["--s", "2"],
-        "star threshold": ["--guaranteed", "Begich", "--rival", "Palin"],
-    }
+        assert not MODEL_MODULES & set(result["executed"])
 
     @pytest.mark.parametrize("raw", [False, True], ids=["condensed", "raw"])
     def test_ingest_loads_no_report_layer(self, alaska_csv, tmp_path, raw):
@@ -1048,7 +1057,7 @@ class TestLazyModelModules:
 
     def test_import_runs_no_model_module_yet_registers_every_layer(self, alaska_csv):
         result = _audit("ingest", str(alaska_csv))
-        assert not {"approval.py", "condorcet.py", "irv.py", "star.py"} & set(result["after_import"])
+        assert not MODEL_MODULES & set(result["after_import"])
         assert {f"ballotlab.{m}" for m in LAYERS} <= set(result["loaded"])
         assert not {"dataclasses.py", "inspect.py"} & set(result["imported"])
 

@@ -8,7 +8,7 @@ from ballotlab import (
     classify_ballot,
     condense,
 )
-from ballotlab.approval import score_lines
+from ballotlab.scoring import score_lines
 
 from .oracles import expand, ranked_ballot, scaled, zero_profile
 

@@ -146,16 +146,14 @@ RECORDS = [
                          "mean_approvals_all_voters"), ({"A": 1}, ("A",), 1, 1),
      "ApprovalOutcome(scores={'A': 1}, winners=('A',), mean_approvals_ranking_voters=1, "
      "mean_approvals_all_voters=1)", False),
-    ("ApprovalRange", ("minimum", "maximum"), ({"A": 1}, {"A": 2}),
-     "ApprovalRange(minimum={'A': 1}, maximum={'A': 2})", False),
+    ("ScoreRange", ("minimum", "maximum"), ({"A": 1}, {"A": 2}),
+     "ScoreRange(minimum={'A': 1}, maximum={'A': 2})", False),
     ("StarScenario", ("stars",), ({("A", "B"): 2},),
      "StarScenario(stars={('A', 'B'): Fraction(2, 1)})", False),
     ("StarOutcome", ("scores", "finalists", "runoff_tallies", "runoff_no_preference",
                      "winners"), ({"A": 5}, ("A", "B"), {"A": 1, "B": 0}, 0, ("A",)),
      "StarOutcome(scores={'A': 5}, finalists=('A', 'B'), runoff_tallies={'A': 1, 'B': 0}, "
      "runoff_no_preference=0, winners=('A',))", False),
-    ("StarRange", ("minimum", "maximum"), ({"A": 1}, {"A": 2}),
-     "StarRange(minimum={'A': 1}, maximum={'A': 2})", False),
     ("StarThreshold", ("stars", "achieved_score", "rival_maximum"), (Fraction(3, 2), 7, 6),
      "StarThreshold(stars=Fraction(3, 2), achieved_score=7, rival_maximum=6)", True),
 ]
@@ -275,6 +273,9 @@ STATED = {
     "bl.detect_center_squeeze(profile)": (
         "squeezed=True, eliminated in round 1",
         lambda s: s.squeezed and s.condorcet_winner_eliminated_in_round == 1),
+    'bl.approval_range(profile).maximum["Begich"]': (
+        "135703 approvals", lambda n: n == 135703),
+    'bl.star_range(profile).minimum["Peltola"]': ("398730 stars", lambda n: n == 398730),
     'bl.uniform_threshold(profile, "Begich", "Peltola")': (
         "Fraction(21738, 62291)", lambda t: t == Fraction(21738, 62291)),
     'bl.uniform_star_threshold(profile, "Begich", "Palin")': (

@@ -59,10 +59,10 @@ from .oracles import (
     whole_ranking,
     zero_profile,
 )
-from ballotlab.approval import score_lines
 from ballotlab.condensed import _RESERVED
 from ballotlab.core import condense_weighted
 from ballotlab.ingest import ingest_raw
+from ballotlab.scoring import score_lines, score_range
 
 ABC = ("A", "B", "C")
 GROUPS = tuple((a, b) for a in ABC for b in ABC if a != b)
@@ -656,6 +656,44 @@ class TestStarProperties:
         big_outcome = evaluate_star(big, StarScenario.uniform(big, s))
         assert small_outcome.finalists == big_outcome.finalists
         assert small_outcome.winners == big_outcome.winners
+
+
+class TestSharedScoringModel:
+    """The model approval and STAR share, on any names and rosters of 2 or 3."""
+
+    scored_profiles = named_profiles().filter(lambda p: len(p.candidates) <= 3)
+
+    @given(deep_profiles(), st.integers(1, 5))
+    def test_score_lines_read_the_first_two_names_of_any_ranking(self, profile, weight):
+        base = dict.fromkeys(profile.candidates, 0)
+        slope = dict.fromkeys(profile.candidates, 0)
+        for key, n in profile.counts.items():
+            if isinstance(key, tuple):
+                for c, line in zip(key, (base, slope)):
+                    line[c] += n
+            elif key != frozenset(profile.candidates):  # an all-way overvote supports no one
+                for c in key:
+                    base[c] += n
+        assert score_lines(profile, weight) == ({c: weight * n for c, n in base.items()}, slope)
+
+    @pytest.mark.parametrize("scenario", [ApprovalScenario, StarScenario], ids=["approval", "star"])
+    @given(profile=scored_profiles)
+    def test_uniform_floor_and_cap_scores_are_the_range(self, scenario, profile):
+        scale = scenario.scale
+        rng = score_range(profile, scale)
+        assert scenario.uniform(profile, scale.low).scores(profile) == rng.minimum
+        assert scenario.uniform(profile, scale.high).scores(profile) == rng.maximum
+
+    @pytest.mark.parametrize("scenario, brute", [(ApprovalScenario, brute_approval),
+                                                 (StarScenario, brute_star_scores)],
+                             ids=["approval", "star"])
+    @given(profile=scored_profiles, data=st.data())
+    def test_scores_match_per_ballot_enumeration(self, scenario, brute, profile, data):
+        """Whole per-group values: approve the second choice or not, whole stars."""
+        scale = scenario.scale
+        values = {g: data.draw(st.integers(scale.low, scale.high))
+                  for g in profile.ranking_groups()}
+        assert scenario(values).scores(profile) == brute(profile, values)
 
 
 class TestClosedFormModels:

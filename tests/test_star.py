@@ -6,8 +6,10 @@ import pytest
 from ballotlab import (
     CondensedProfile,
     DecisiveTieError,
+    ScoreRange,
     StarScenario,
     UnattainableError,
+    approval_range,
     evaluate_star,
     star_range,
     sweep_star,
@@ -24,6 +26,7 @@ class TestStarRange:
         rng = star_range(alaska_profile)
         assert rng.minimum == {"Begich": 352331, "Palin": 327260, "Peltola": 398730}
         assert rng.maximum == {"Begich": 596969, "Palin": 423215, "Peltola": 456495}
+        assert type(approval_range(alaska_profile)) is type(rng) is ScoreRange
 
     def test_all_bullets(self):
         profile = CondensedProfile(ABC, {("A",): 4, ("B",): 2, ("C",): 1})
