@@ -52,12 +52,13 @@ def _winners(scores: dict[str, int | Fraction], order: tuple[str, ...]) -> tuple
 
 def evaluate_approval(profile: CondensedProfile, scenario: ApprovalScenario) -> ApprovalOutcome:
     """Exact expected approval scores under the scenario."""
-    scores = scenario.scores(profile)
-    base, slope = score_lines(profile, APPROVAL.first_weight)
+    sizes = profile.group_sizes()  # one walk of the rankings for the scores and diagnostics
+    base, _ = score_lines(profile, APPROVAL.first_weight, sizes)
+    scores = scenario.scores(profile, (base, sizes))
     total_approvals = sum(scores.values())
     second_approvals = total_approvals - sum(base.values())
 
-    rankers = sum(slope.values())
+    rankers = sum(sizes.values())
     mean_rankers = 1 + second_approvals / rankers if rankers else Fraction(1)
     participating = profile.total_with_preference
     mean_all = total_approvals / participating if participating else Fraction(0)

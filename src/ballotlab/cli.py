@@ -12,23 +12,30 @@ raw CVR's profile keeps every ranked choice; only ``ingest``, whose CSV
 keeps two, warns when it drops later ones.
 
 Each command is one row of :data:`COMMANDS`: path, help text, builder
-and flags; the parser holds only the rows on the path argv names, with
-flags only on the one being run.  :func:`run` loads the profile, calls the
-builder and renders the :class:`Report` it returns (``ingest`` and
-``--plot-data`` return bytes).  Except ``ingest``'s, each builder ends its
-model's lazily loaded module (see the package docstring); :func:`run` looks
-it up only after parsing, so a process compiles only its own command's model
-and ``--help`` runs none.  The report layer (``report`` and ``rational``,
-with ``fractions``) is lazily registered too and runs only for a command
-that renders a report or parses a grid, so ``ingest`` never loads it.
+and flags.  :func:`_parse` reads a plain argv straight from its row: the
+command's exact words, one file that does not start with ``-``, and the
+row's own flags spelled exactly, as ``--flag value`` or ``--flag=value``.
+Anything else (``--help``, ``--version``, an abbreviated or unknown flag,
+``--``, a value starting with ``-``, a value the row refuses) goes to
+argparse, so ``argparse`` is imported only for help, usage errors and the
+spellings only it reads.  Its parser holds only the rows on the path argv
+names, with flags only on the one being run.  :func:`run` loads the
+profile, calls the builder and renders the :class:`Report` it returns
+(``ingest`` and ``--plot-data`` return bytes).  Except ``ingest``'s, each
+builder ends its model's lazily loaded module (see the package
+docstring); :func:`run` looks it up only after parsing, so a process
+compiles only its own command's model and ``--help`` runs none.  The
+report layer (``report`` and ``rational``, with ``fractions``) is lazily
+registered too and runs only for a command that renders a report or
+parses a grid, so ``ingest`` never loads it.
 ``hashlib``, ``csv`` and ``json`` load only for the output that uses them.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from . import __version__, _ingest_module, rational, report
 from .core import CondensedProfile
@@ -42,11 +49,12 @@ def main() -> None:
 
 def run(argv: Sequence[str]) -> int:
     """Parse arguments, build the command's output, and stream it."""
-    parser = _build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _parse(argv)
+    if args is None:  # help, version, a usage error, or a spelling only argparse reads
+        try:
+            args = _build_parser(argv).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
 
     try:
         profile, data = _load_profile(args)
@@ -74,10 +82,65 @@ def run(argv: Sequence[str]) -> int:
 # -- argument plumbing ---------------------------------------------------
 
 
+def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse builds from a plain ``argv`` (see the module
+    docstring), read straight from its :data:`COMMANDS` row; ``None`` for
+    any other ``argv``, which argparse then parses or refuses."""
+    for path, _, build, *flags in COMMANDS:
+        words = path.split()
+        if build and list(argv[:len(words)]) == words:
+            break
+    else:
+        return None
+    kinds = {name: kwargs for (name,), kwargs in flags}
+    rest, given = iter(argv[len(words):]), {}
+    for arg in rest:
+        name, eq, value = arg.partition("=") if arg[:1] == "-" else ("file", "=", arg)
+        kwargs = kinds.get(name)
+        if kwargs is None or name == "file" and name in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            if eq:
+                return None
+            given[name] = True
+            continue
+        value = value if eq else next(rest, "")
+        if value[:1] in ("", "-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except Exception:  # argparse reports the refused value (or raises the error itself)
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[name] = [*given.get(name, ()), value] if kwargs.get("action") == "append" else value
+    args = SimpleNamespace(command=words[0], build=build)
+    if len(words) > 1:
+        args.subcommand = words[1]
+    for name, kwargs in kinds.items():
+        if name not in given:
+            if name == "file" or kwargs.get("required"):
+                return None
+            default = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+            # argparse passes a string default through ``type``
+            given[name] = kwargs.get("type", str)(default) if isinstance(default, str) else default
+        setattr(args, name.lstrip("-").replace("-", "_"), given[name])
+    return args
+
+
+# The ``type`` callables raise argparse's error, so that argparse names the flag and
+# the problem rather than an "invalid value".  Argparse then reports it, so importing
+# argparse here costs a valid command nothing.
+def _refuse(message: str):
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _parse_group(text: str) -> tuple[str, str]:
     first, sep, second = text.partition(">")
     if not sep or not first or not second:
-        raise argparse.ArgumentTypeError(f"group must look like First>Second, got {text!r}")
+        raise _refuse(f"group must look like First>Second, got {text!r}")
     return first, second
 
 
@@ -85,21 +148,21 @@ def _parse_group_assignment(text: str) -> tuple[tuple[str, str], str]:
     # The value is a number, so the last "=" ends the group: a name may hold "=".
     head, sep, value = text.rpartition("=")
     if not sep or not value:
-        raise argparse.ArgumentTypeError(f"expected First>Second=value, got {text!r}")
+        raise _refuse(f"expected First>Second=value, got {text!r}")
     return _parse_group(head), value
 
 
 def _parse_grid(text: str) -> tuple[rational.Fraction, rational.Fraction, rational.Fraction]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"grid must look like start:end:step, got {text!r}")
+        raise _refuse(f"grid must look like start:end:step, got {text!r}")
     try:
         return tuple(rational.exact_rational(p, "grid value") for p in parts)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise _refuse(str(exc)) from None
 
 
-def _load_profile(args: argparse.Namespace) -> tuple[CondensedProfile, bytes]:
+def _load_profile(args) -> tuple[CondensedProfile, bytes]:
     with open(args.file, "rb") as f:
         data = f.read()
     extension = args.file[args.file.rfind("."):]
@@ -126,7 +189,7 @@ def _provenance(argv: Sequence[str], data: bytes) -> str:
 
 
 # The one builder that is not a model's: ``ingest`` writes the profile CSV.
-def _ingest(args: argparse.Namespace, profile: CondensedProfile) -> bytes:
+def _ingest(args, profile: CondensedProfile) -> bytes:
     later = sum(n for prefs, n in profile.rankings() if len(prefs) > 2)
     if later:  # the CSV keeps two choices per ranking
         print(f"warning: {later} {'ballot ranks' if later == 1 else 'ballots rank'} a "
@@ -207,10 +270,12 @@ COMMANDS = (
 )
 
 
-def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str]):
     """The rows on the longest command path ``argv`` starts with, flags only on
     its last, and every row below it, so that ``--help`` and an invalid choice
     list a group's (or, with no command named, every) command."""
+    import argparse  # only for help, usage errors and what _parse declines
+
     chosen = max((w for w in (tuple(row[0].split()) for row in COMMANDS)
                   if tuple(argv[:len(w)]) == w), key=len, default=())
     parser = argparse.ArgumentParser(

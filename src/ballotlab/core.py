@@ -328,21 +328,26 @@ class CondensedProfile(Record):
         its pair above everyone else and neither member above the other;
         all-way overvotes never place anyone above anyone.
         """
-        prefers = {}
-        for a, b in self.candidate_pairs():
-            prefers[a, b] = prefers[b, a] = 0
+        roster = self.candidates
+        index = {c: i for i, c in enumerate(roster)}
+        rows = [[0] * len(roster) for _ in roster]  # rows[i][j]: roster[i] above roster[j]
         for names, n in self.rankings():
-            below = [c for c in self.candidates if c not in names]
+            below = [j for j, c in enumerate(roster) if c not in names]
             for a in reversed(names):
-                for c in below:
-                    prefers[a, c] += n
-                below.append(a)
+                row = rows[index[a]]
+                for j in below:
+                    row[j] += n
+                below.append(index[a])
         if include_ties:
             for pair, n in self.two_way_overvotes():
                 for a in pair:
-                    for c in self.candidates:
+                    row = rows[index[a]]
+                    for j, c in enumerate(roster):
                         if c not in pair:
-                            prefers[a, c] += n
+                            row[j] += n
+        prefers = {}
+        for a, b in self.candidate_pairs():
+            prefers[a, b], prefers[b, a] = rows[index[a]][index[b]], rows[index[b]][index[a]]
         return prefers
 
 

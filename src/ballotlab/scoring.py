@@ -105,12 +105,19 @@ class Scenario(Record):
             raise ValueError(f"{cls.scale.given} given for unknown group {'>'.join(min(unknown))}")
         return {g: values.get(g, cls.scale.low) for g in groups}
 
-    def scores(self, profile: CondensedProfile) -> dict[str, Fraction]:
-        """Exact score per candidate: guaranteed support plus each group's second choices."""
+    def scores(self, profile: CondensedProfile,
+               lines: tuple[dict[str, int], dict[Group, int]] | None = None) -> dict[str, Fraction]:
+        """Exact score per candidate: guaranteed support plus each group's second choices.
+
+        ``lines`` is the profile's :func:`score_lines` ``base`` and
+        :meth:`~CondensedProfile.group_sizes`, if the caller has them already.
+        """
         require_roster(profile)
         (field,) = self.__slots__
-        base, _ = score_lines(profile, self.scale.first_weight)
-        sizes = profile.group_sizes()
+        if lines is None:
+            sizes = profile.group_sizes()
+            lines = score_lines(profile, self.scale.first_weight, sizes)[0], sizes
+        base, sizes = lines
         scores = {c: Fraction(n) for c, n in base.items()}
         for group, value in self.resolve(profile, getattr(self, field)).items():
             scores[group[1]] += value * sizes[group]
@@ -124,21 +131,23 @@ class ScoreRange(Record):
     maximum: dict[str, int]
 
 
-def score_lines(profile: CondensedProfile, first_weight: int) -> tuple[dict[str, int], dict[str, int]]:
+def score_lines(profile: CondensedProfile, first_weight: int,
+                sizes: dict[Group, int] | None = None) -> tuple[dict[str, int], dict[str, int]]:
     """Each candidate's score ``base + slope * t`` at a uniform second-choice value ``t``.
 
     ``base`` is the guaranteed support, ``first_weight`` per first choice
     and per two-way top overvote naming the candidate (an all-way one
     supports no one); ``slope`` counts the rankings placing the candidate
-    second.  Approval weighs a first choice 1 with ``t`` the rate, STAR 5
-    stars with ``t`` the rating.
+    second, from ``sizes`` (the profile's group sizes) when given.  Approval
+    weighs a first choice 1 with ``t`` the rate, STAR 5 stars with ``t`` the
+    rating.
     """
     base = profile.top_choices(profile.candidates)
     for pair, n in profile.two_way_overvotes():
         for c in pair:
             base[c] += n
     slope = dict.fromkeys(profile.candidates, 0)
-    for (_, second), n in profile.group_sizes().items():
+    for (_, second), n in (profile.group_sizes() if sizes is None else sizes).items():
         slope[second] += n
     return {c: first_weight * n for c, n in base.items()}, slope
 

@@ -7,9 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
-from ballotlab import __version__, parse_condensed, report
-from ballotlab.cli import _FORMAT, COMMANDS, _builder, run
+from ballotlab import __version__, cli, parse_condensed, report
+from ballotlab.cli import _FORMAT, COMMANDS, _builder, _parse, run
 
 from .conftest import alaska
 
@@ -704,6 +706,12 @@ class TestHelpAndUsage:
         ["approval", "sweep", "$F", "--grid", "0:1"], ["star", "sweep", "$F", "--grid", "0:1:x"],
         ["approval", "eval", "$F", "--p-group", "foo"], ["star", "eval", "$F", "--s-group", "A=1"],
         ["approval", "clinch", "$F", "--candidate", "A", "--group", "AB"], ["irv", "--version"],
+        # Near-valid spellings, which the fast path leaves to argparse.
+        ["irv", "$F", "$F"], ["irv", "$F", "--form", "xml"], ["irv", "$F", "--format"],
+        ["irv", "$F", "--format", "--out"], ["irv", "$F", "--", "--format", "csv"],
+        ["irv", "$F", "--format=xml"], ["star", "range", "$F", "--plot-data=1"],
+        ["approval", "eval", "$F", "--p-group", "-1"], ["approval", "sweep", "$F", "--grid=0:1"],
+        ["approval", "threshold", "$F", "--riser=Begich"],
     ]
 
     def _outcome(self, capsys, parse, argv):
@@ -729,6 +737,124 @@ class TestHelpAndUsage:
     @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
     def test_usage_error(self, capsys, monkeypatch, fixture, argv):
         assert self._compare(capsys, monkeypatch, [fixture if a == "$F" else a for a in argv]) == 2
+
+
+# Values the property below gives a flag without choices, besides a candidate's name;
+# any flag may also get one of ODD_VALUES, which some flags refuse.
+FLAG_VALUES = {
+    "--out": ["out.csv"], "--p": ["0.35", "1/2", "2"], "--s": ["2", "4", "5"],
+    "--p-group": ["Peltola>Begich=0.9", "Begich>Palin=1/3"], "--s-group": ["Begich>Palin=4"],
+    "--group": ["Peltola>Begich"], "--grid": ["0:1:0.5", "1:4:0.5", "-1:1:1"],
+}
+ODD_VALUES = ["xml", "x", "A=1", "0:1", "-1", ""]
+NAMES = ["Begich", "Palin", "Peltola", "Nobody"]
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """An argv built from one :data:`COMMANDS` row: the file and the row's flags, each
+    given zero to two times as ``--flag value`` or ``--flag=value`` in any order, and
+    sometimes near-valid tokens besides: an abbreviated or unknown flag, ``--``, help,
+    a second file, a negative number, a value given to a switch, a flag without its value."""
+    path, _, _, *flags = draw(st.sampled_from(COMMANDS))
+    given = [["$F"]]
+    near = [["--"], ["-h"], ["--version"], ["$F"], ["--bogus"], ["-1"], ["--plot-data=1"]]
+    for (name,), kwargs in flags:
+        if name == "file":
+            continue
+        if kwargs.get("action") == "store_true":
+            given += [[name]] * draw(st.sampled_from([0, 1, 1, 2]))
+            continue
+        values = st.sampled_from(kwargs.get("choices") or FLAG_VALUES.get(name, NAMES))
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+            value = draw(st.sampled_from(ODD_VALUES) if draw(st.integers(0, 5)) == 0 else values)
+            given.append([f"{name}={value}"] if draw(st.booleans()) else [name, value])
+        near += [[name[:-1], draw(values)], [name]]  # abbreviated, or without its value
+    given.append(draw(st.sampled_from([[]] * len(near) + near)))  # near-valid half the time
+    return [*path.split(), *(t for group in draw(st.permutations(given)) for t in group)]
+
+
+def command_path(namespace: dict) -> str:
+    """The :data:`COMMANDS` path a parsed namespace names."""
+    return " ".join(filter(None, (namespace["command"], namespace.get("subcommand"))))
+
+
+class TestFastPath:
+    """:func:`cli._parse` answers only where argparse accepts, with argparse's namespace;
+    whether it answers or not, :func:`run` behaves as it does with argparse alone."""
+
+    @staticmethod
+    def _outcome(capsysbinary, call, argv):
+        """Exit code, stdout, stderr, and the files written to the working directory."""
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+        written = {}
+        for path in Path().iterdir():
+            written[path.name] = path.read_bytes()
+            path.unlink()
+        return code, *capsysbinary.readouterr(), written
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=command_lines())
+    def test_fast_path_reads_argv_as_argparse_does(self, capsysbinary, monkeypatch, fixture,
+                                                   tmp_path, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)  # where --out writes
+        argv = [fixture if a == "$F" else a for a in argv]
+        fast = _parse(argv)
+        try:
+            expected = vars(every_flag_parser().parse_args(argv))
+        except SystemExit as exc:
+            refused = exc.code, *capsysbinary.readouterr(), {}
+            event("argparse refuses")
+            assert fast is None
+            assert self._outcome(capsysbinary, run, argv) == refused
+        else:
+            event("argparse accepts; fast path " + ("declines" if fast is None else "answers"))
+            if fast is not None:
+                assert vars(fast) == {"build": BUILDERS[command_path(expected)], **expected}
+            ran = self._outcome(capsysbinary, run, argv)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_parse", lambda argv: None)
+                assert self._outcome(capsysbinary, run, argv) == ran
+
+    @pytest.mark.parametrize("argv", [
+        ["irv", "$F"],
+        ["irv", "--format=csv", "$F", "--out", "o.csv", "--input-format", "condensed"],
+        ["approval", "sweep", "$F"], ["approval", "sweep", "$F", "--grid=0:1:0.5"],
+        ["approval", "eval", "$F", "--p-group", "A>B=1", "--p-group=C>D=1/2", "--p", "0"],
+        ["star", "range", "$F", "--plot-data", "--plot-data"], ["pairwise", "$F"],
+        ["approval", "threshold", "$F", "--riser", "Begich", "--leader=Peltola=x"],
+    ], ids=" ".join)
+    def test_plain_argv_is_read_without_argparse(self, argv):
+        expected = vars(every_flag_parser().parse_args(argv))
+        assert vars(_parse(argv)) == {"build": BUILDERS[command_path(expected)], **expected}
+
+    @pytest.mark.parametrize("argv", [
+        ["irv"], ["approval", "$F"], ["irv", "$F", "-h"], ["irv", "$F", "--version"],
+        ["irv", "$F", "--form", "csv"], ["irv", "$F", "--"], ["irv", "$F", "$F"],
+        ["irv", "$F", "--format"], ["irv", "$F", "--format", ""], ["irv", "$F", "--out="],
+        ["approval", "eval", "$F", "--p", "-1"], ["approval", "eval", "$F", "--p=-1"],
+        ["star", "range", "$F", "--plot-data=1"], ["approval", "threshold", "$F"],
+        ["irv", "$F", "--format", "xml"], ["approval", "sweep", "$F", "--grid", "0:1"],
+        ["irv", "-", "--format", "csv"], ["irv", ""], ["IRV", "$F"],
+    ], ids=repr)
+    def test_anything_else_goes_to_argparse(self, argv):
+        assert _parse(argv) is None
+
+    @pytest.mark.parametrize("declined, spelled_out", [
+        (["irv", "$F", "--form", "csv"], ["irv", "$F", "--format", "csv"]),
+        (["approval", "eval", "$F", "--format", "csv", "--p-g", "Peltola>Begich=0.9"],
+         ["approval", "eval", "$F", "--format", "csv", "--p-group", "Peltola>Begich=0.9"]),
+    ])
+    def test_spellings_only_argparse_reads_still_run(self, capsys, fixture, declined, spelled_out):
+        declined, spelled_out = ([fixture if a == "$F" else a for a in argv]
+                                 for argv in (declined, spelled_out))
+        assert _parse(declined) is None
+        assert invoke(capsys, *declined) == invoke(capsys, *spelled_out)
 
 
 class TestDeterminism:
@@ -1081,6 +1207,23 @@ class TestLazyModelModules:
         assert result["code"] == 0
         assert "ingest.py" in result["executed"]
         assert {"json", "gc"} <= set(result["modules"])
+
+    @pytest.mark.parametrize("argv, code", [
+        (["irv", "$F"], 0),
+        (["approval", "sweep", "$F", "--grid=0:1:0.5", "--format", "csv"], 0),
+        (["ingest", "$F", "--out", "$OUT"], 0),
+        (["irv", "--help"], 0),
+        (["irv", "$F", "--bogus"], 2),
+    ], ids=["irv", "approval-sweep", "ingest", "help", "usage-error"])
+    def test_only_help_and_usage_errors_import_argparse(self, alaska_csv, tmp_path, argv, code):
+        """Without site hooks, a valid command never imports ``argparse`` (nor ``gettext`` and
+        ``shutil``, which it would bring); ``--help`` and a usage error do."""
+        subs = {"$F": str(alaska_csv), "$OUT": str(tmp_path / "out.csv")}
+        result = _audit(*(subs.get(a, a) for a in argv))
+        assert result["code"] == code
+        assert ("argparse" in result["modules"]) == (code != 0 or "--help" in argv)
+        if "argparse" not in result["modules"]:
+            assert not {"gettext", "shutil"} & set(result["modules"])
 
     def test_cli_imports_neither_pathlib_nor_typing(self):
         """Without site hooks, which may import them first, ``import ballotlab.cli`` loads none
