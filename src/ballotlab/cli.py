@@ -28,7 +28,10 @@ compiles only its own command's model and ``--help`` runs none.  The
 report layer (``report`` and ``rational``, with ``fractions``) is lazily
 registered too and runs only for a command that renders a report or
 parses a grid, so ``ingest`` never loads it.
-``hashlib``, ``csv`` and ``json`` load only for the output that uses them.
+``csv`` and ``json`` load only for the output that uses them.  The table
+footer's sha256 uses the interpreter's own SHA-256 below 256 KiB of input,
+so ``hashlib`` (and OpenSSL with it) loads only for a larger input; the
+digest is the same either way.
 """
 
 from __future__ import annotations
@@ -178,11 +181,26 @@ def _builder(ref: str):
     return getattr(sys.modules[f"{__package__}.{module}"], name)
 
 
-def _provenance(argv: Sequence[str], data: bytes) -> str:
-    import hashlib  # only table output carries the digest
+# Inputs below this many bytes are hashed by the interpreter's own SHA-256.  It hashes
+# at a fifth of OpenSSL's speed, but ``hashlib`` loads OpenSSL, which costs a few ms per
+# process; the two cross between 512 KiB and 1 MiB.
+_OWN_SHA256_BELOW = 1 << 18
+_OWN_SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"  # its module
 
-    digest = hashlib.sha256(data).hexdigest()
-    return f"# input sha256={digest} command={' '.join(argv)} version={__version__}"
+
+def _provenance(argv: Sequence[str], data: bytes) -> str:
+    """The table footer: the input's sha256, the argv (a word that is not printable as its
+    ``repr``, so the footer is one line of UTF-8), and the version."""
+    sha256 = None
+    if len(data) < _OWN_SHA256_BELOW:
+        try:
+            sha256 = __import__(_OWN_SHA256).sha256
+        except ImportError:  # a build without it
+            pass
+    if sha256 is None:
+        from hashlib import sha256
+    command = " ".join(word if word.isprintable() else repr(word) for word in argv)
+    return f"# input sha256={sha256(data).hexdigest()} command={command} version={__version__}"
 
 
 # -- the command table ---------------------------------------------------

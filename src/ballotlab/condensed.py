@@ -12,7 +12,7 @@ break: LF, CR, VT, FF, FS, GS, RS, NEL, LS or PS, each character
 
 from __future__ import annotations
 
-from .core import CondensedProfile, ProfileKey, condense_weighted
+from .core import CondensedProfile, ProfileKey, condense_weighted, utf8_text
 from .errors import ParseError
 
 MAX_COUNT = 2**63 - 1  # counts must fit a 64-bit signed integer
@@ -52,7 +52,7 @@ def parse_condensed(data: bytes) -> CondensedProfile:
     pattern rows, which matches the order :func:`write_condensed` emits.
     """
     try:
-        text = data.decode("utf-8-sig")  # spreadsheet exports often start with a BOM
+        text = utf8_text(data)  # spreadsheet exports often start with a BOM
     except UnicodeDecodeError as exc:
         raise ParseError(f"condensed file is not UTF-8: {exc}") from exc
 

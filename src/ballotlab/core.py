@@ -36,6 +36,13 @@ def is_write_in(mark: str) -> bool:
     return mark.startswith(WRITE_IN_PREFIX)
 
 
+def utf8_text(data: bytes) -> str:
+    """An input file's text: UTF-8 after at most one leading byte order mark.  Same text
+    and errors as the ``utf-8-sig`` codec, whose module (``encodings.utf_8_sig``) a
+    process would otherwise import on every read."""
+    return data.removeprefix(b"\xef\xbb\xbf").decode("utf-8")
+
+
 def validate_roster(candidates: Sequence[str]) -> tuple[str, ...]:
     """Normalize a candidate roster: trim names, require them valid Unicode text, free
     of ``|`` (which joins tied names in every report) and distinct.

@@ -42,6 +42,7 @@ from .core import (
     classify_ballot,
     condense_weighted,
     is_write_in,
+    utf8_text,
     validate_roster,
 )
 from .condensed import parse_condensed, write_condensed  # perfbench/run.py wraps these names
@@ -129,7 +130,7 @@ def _distinct_texts(data: bytes) -> tuple[tuple[str, ...], list, list[int]] | No
     decode, alone, as exactly one ballot, so the pieces rejoined are the
     ``ballots`` array that ``json.loads`` would read.
     A document it cannot read raises, for :func:`parse_raw` to name."""
-    text = data.decode("utf-8-sig")
+    text = utf8_text(data)
     head = _HEAD.match(text)
     if not head:
         return None
@@ -168,7 +169,7 @@ def _fields(pairs: list[tuple[str, object]]) -> dict:
 def _document(data: bytes) -> tuple[tuple[str, ...], list]:
     """Decode a raw CVR and check its fields and roster: the roster, the raw ballots."""
     try:
-        doc = json.loads(data.decode("utf-8-sig"), object_pairs_hook=_fields)
+        doc = json.loads(utf8_text(data), object_pairs_hook=_fields)
     except UnicodeDecodeError as exc:
         raise ParseError(f"raw document is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -869,7 +869,57 @@ class TestDeterminism:
         first = invoke(capsys, "irv", fixture)
         second = invoke(capsys, "irv", fixture)
         assert first == second
-        assert "sha256=" in first[1]
+        digest = hashlib.sha256(Path(fixture).read_bytes()).hexdigest()
+        assert first[1].endswith(
+            f"\n# input sha256={digest} command=irv {fixture} version={__version__}\n")
+
+
+class TestProvenance:
+    """The table footer: the input's sha256, whichever SHA-256 computes it, and the argv
+    on one line of UTF-8."""
+
+    BYTE = b"\xa5"  # each input is this byte, repeated
+    SIZES = [0, cli._OWN_SHA256_BELOW - 1, cli._OWN_SHA256_BELOW, cli._OWN_SHA256_BELOW + 1,
+             3_000_000]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_footer_carries_the_inputs_sha256(self, size):
+        data = self.BYTE * size
+        assert cli._provenance(["irv", "in.csv"], data) == (
+            f"# input sha256={hashlib.sha256(data).hexdigest()} command=irv in.csv "
+            f"version={__version__}")
+
+    def test_footer_carries_the_inputs_sha256_without_the_interpreters_own(self):
+        """A build without the built-in SHA-256 module hashes every input with ``hashlib``."""
+        script = (
+            "import json, sys\n"
+            "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+            "from ballotlab import cli\n"
+            f"footers = [cli._provenance(['irv'], {self.BYTE!r} * n) for n in {self.SIZES!r}]\n"
+            "print(json.dumps([footers, 'hashlib' in sys.modules]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", script],
+                              env=_child_env(), capture_output=True, check=True, timeout=60)
+        assert json.loads(proc.stdout) == [[
+            f"# input sha256={hashlib.sha256(self.BYTE * n).hexdigest()} command=irv "
+            f"version={__version__}" for n in self.SIZES], True]
+
+    @pytest.mark.parametrize("name", [b"\xff.csv", b"a\nb.csv"], ids=["not-utf8", "newline"])
+    def test_footer_is_one_line_of_utf8_for_any_file_name(self, capsys, fixture, tmp_path, name):
+        """A word of argv that is not printable appears as its ``repr``."""
+        path = os.path.join(os.fsencode(tmp_path), name)
+        with open(path, "wb") as f:
+            f.write(Path(fixture).read_bytes())
+        proc = subprocess.run([sys.executable, "-m", "ballotlab", "irv", path],
+                              env=_child_env(), capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        code, out, _ = invoke(capsys, "irv", fixture)
+        assert code == 0
+        body, _, footer = proc.stdout.decode("utf-8").rstrip("\n").rpartition("\n")
+        assert body == out.rstrip("\n").rpartition("\n")[0]
+        digest = hashlib.sha256(Path(fixture).read_bytes()).hexdigest()
+        assert footer == (f"# input sha256={digest} command=irv {os.fsdecode(path)!r} "
+                          f"version={__version__}")
 
 
 # sha256 of the stdout of model commands on the fixture, recorded before
@@ -1187,10 +1237,12 @@ class TestLazyModelModules:
         assert {f"ballotlab.{m}" for m in LAYERS} <= set(result["loaded"])
         assert not {"dataclasses.py", "inspect.py"} & set(result["imported"])
 
+    # The table footer's sha256 of the fixture needs no OpenSSL (``hashlib``), and no
+    # reader imports the ``utf-8-sig`` codec.
     @pytest.mark.parametrize("flags, imported, absent", [
-        ([], set(), {"json", "csv", "gc"}),
-        (["--format", "csv"], {"csv"}, {"json", "gc"}),
-        (["--format", "json-lines"], {"json"}, {"csv", "gc"}),
+        ([], set(), {"json", "csv", "gc", "hashlib", "_hashlib", "encodings.utf_8_sig"}),
+        (["--format", "csv"], {"csv"}, {"json", "gc", "encodings.utf_8_sig"}),
+        (["--format", "json-lines"], {"json"}, {"csv", "gc", "encodings.utf_8_sig"}),
     ], ids=["table", "csv", "json-lines"])
     def test_condensed_command_runs_no_raw_reader_and_imports_its_format_only(
             self, alaska_csv, flags, imported, absent):
@@ -1207,6 +1259,16 @@ class TestLazyModelModules:
         assert result["code"] == 0
         assert "ingest.py" in result["executed"]
         assert {"json", "gc"} <= set(result["modules"])
+        assert "encodings.utf_8_sig" not in result["modules"]
+
+    def test_table_footer_of_a_large_input_loads_hashlib(self, tmp_path):
+        """At or past the cut-over, OpenSSL's faster SHA-256 pays for loading it."""
+        source = tmp_path / "large.json"
+        source.write_text(json.dumps({**RAW_CVR, "ballots": RAW_CVR["ballots"] * 2000}))
+        assert source.stat().st_size >= cli._OWN_SHA256_BELOW
+        result = _audit("pairwise", str(source))
+        assert result["code"] == 0
+        assert {"hashlib", "_hashlib"} <= set(result["modules"])
 
     @pytest.mark.parametrize("argv, code", [
         (["irv", "$F"], 0),

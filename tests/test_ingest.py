@@ -641,6 +641,43 @@ class TestLibraryFallback:
         assert calls == (["parse_raw", "ingest"] if parsed else ["parse_raw"])
 
 
+class TestByteOrderMark:
+    """Each reader strips one leading UTF-8 BOM and decodes the rest as UTF-8, with the
+    text and errors the ``utf-8-sig`` codec gave: a bad byte's position counts from
+    after the BOM, and a second BOM is text, which neither reader accepts."""
+
+    CSV = b"pattern,count\nbullet:A,3\nfull:A>B,2\n"
+    RAW = b'{"candidates": ["A", "B", "C"], "ballots": [[["A"], ["B"], []], [["B"], [], []]]}'
+    READERS = [
+        pytest.param(parse_condensed, CSV, "condensed file", id="condensed"),
+        pytest.param(parse_raw, RAW, "raw document", id="parse_raw"),
+        pytest.param(ingest_raw, RAW, "raw document", id="ingest_raw"),
+    ]
+
+    @pytest.mark.parametrize("read, data, what", READERS)
+    def test_bom_then_valid_text(self, read, data, what):
+        assert read(codecs.BOM_UTF8 + data) == read(data)
+
+    @pytest.mark.parametrize("read, data, what", READERS)
+    def test_bom_then_invalid_byte(self, read, data, what):
+        data = codecs.BOM_UTF8 + data[:14] + b"\xff" + data[15:]
+        message = (f"{what} is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+                   "in position 14: invalid start byte")
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            read(data)
+
+    @pytest.mark.parametrize("read, data, message", [
+        (parse_condensed, CSV, "condensed file must start with header 'pattern,count'"),
+        (parse_raw, RAW, "raw document syntax error at line 1, column 1: "
+                         "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        (ingest_raw, RAW, "raw document syntax error at line 1, column 1: "
+                          "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ], ids=["condensed", "parse_raw", "ingest_raw"])
+    def test_double_bom_is_refused(self, read, data, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            read(codecs.BOM_UTF8 * 2 + data)
+
+
 class TestCondensedFile:
     def test_single_row(self):
         profile = parse_condensed(b"pattern,count\nfull:Palin>Begich,34117\n")
