@@ -52,13 +52,12 @@ def _winners(scores: dict[str, int | Fraction], order: tuple[str, ...]) -> tuple
 
 def evaluate_approval(profile: CondensedProfile, scenario: ApprovalScenario) -> ApprovalOutcome:
     """Exact expected approval scores under the scenario."""
-    sizes = profile.group_sizes()  # one walk of the rankings for the scores and diagnostics
-    base, _ = score_lines(profile, APPROVAL.first_weight, sizes)
-    scores = scenario.scores(profile, (base, sizes))
+    base, slope = score_lines(profile, APPROVAL.first_weight)
+    scores = scenario.scores(profile)
     total_approvals = sum(scores.values())
     second_approvals = total_approvals - sum(base.values())
 
-    rankers = sum(sizes.values())
+    rankers = sum(slope.values())  # each ranking places one candidate second
     mean_rankers = 1 + second_approvals / rankers if rankers else Fraction(1)
     participating = profile.total_with_preference
     mean_all = total_approvals / participating if participating else Fraction(0)

@@ -18,16 +18,15 @@ row's own flags spelled exactly, as ``--flag value`` or ``--flag=value``.
 Anything else (``--help``, ``--version``, an abbreviated or unknown flag,
 ``--``, a value starting with ``-``, a value the row refuses) goes to
 argparse, so ``argparse`` is imported only for help, usage errors and the
-spellings only it reads.  Its parser holds only the rows on the path argv
-names, with flags only on the one being run.  :func:`run` loads the
-profile, calls the builder and renders the :class:`Report` it returns
-(``ingest`` and ``--plot-data`` return bytes).  Except ``ingest``'s, each
-builder ends its model's lazily loaded module (see the package
-docstring); :func:`run` looks it up only after parsing, so a process
-compiles only its own command's model and ``--help`` runs none.  The
-report layer (``report`` and ``rational``, with ``fractions``) is lazily
-registered too and runs only for a command that renders a report or
-parses a grid, so ``ingest`` never loads it.
+spellings only it reads; its parser holds every row with its flags.
+:func:`run` loads the profile, calls the builder and renders the
+:class:`Report` it returns (``ingest`` and ``--plot-data`` return bytes).
+Except ``ingest``'s, each builder ends its model's lazily loaded module
+(see the package docstring); :func:`run` looks it up only after parsing,
+so a process compiles only its own command's model and ``--help`` runs
+none.  The report layer (``report`` and ``rational``, with ``fractions``)
+is lazily registered too and runs only for a command that renders a
+report or parses a grid, so ``ingest`` never loads it.
 ``csv`` and ``json`` load only for the output that uses them.  The table
 footer's sha256 uses the interpreter's own SHA-256 below 256 KiB of input,
 so ``hashlib`` (and OpenSSL with it) loads only for a larger input; the
@@ -55,7 +54,7 @@ def run(argv: Sequence[str]) -> int:
     args = _parse(argv)
     if args is None:  # help, version, a usage error, or a spelling only argparse reads
         try:
-            args = _build_parser(argv).parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
 
@@ -288,14 +287,11 @@ COMMANDS = (
 )
 
 
-def _build_parser(argv: Sequence[str]):
-    """The rows on the longest command path ``argv`` starts with, flags only on
-    its last, and every row below it, so that ``--help`` and an invalid choice
-    list a group's (or, with no command named, every) command."""
-    import argparse  # only for help, usage errors and what _parse declines
+def _build_parser():
+    """Every :data:`COMMANDS` row with its flags and, as ``build``, its builder.  Only
+    help, usage errors and what :func:`_parse` declines import argparse to build it."""
+    import argparse
 
-    chosen = max((w for w in (tuple(row[0].split()) for row in COMMANDS)
-                  if tuple(argv[:len(w)]) == w), key=len, default=())
     parser = argparse.ArgumentParser(
         prog="ballotlab",
         description="Tabulate ranked-ballot profiles: instant runoff, head-to-head "
@@ -304,12 +300,9 @@ def _build_parser(argv: Sequence[str]):
     parser.add_argument("--version", action="version", version=f"ballotlab {__version__}")
     groups = {"": parser.add_subparsers(dest="command", required=True, metavar="command")}
     for path, help_text, build, *flags in COMMANDS:
-        words = tuple(path.split())
-        if words[:len(chosen)] != chosen and chosen[:len(words)] != words:
-            continue  # off the path: neither above nor below its end
         group, _, name = path.rpartition(" ")
         p = groups[group].add_parser(name, help=help_text)
-        for names, kwargs in flags if words == chosen else ():
+        for names, kwargs in flags:
             p.add_argument(*names, **kwargs)
         if build is None:
             groups[name] = p.add_subparsers(dest="subcommand", required=True, metavar="subcommand")

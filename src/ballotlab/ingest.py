@@ -173,6 +173,8 @@ def _document(data: bytes) -> tuple[tuple[str, ...], list]:
     except UnicodeDecodeError as exc:
         raise ParseError(f"raw document is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
+        if exc.doc[:1] == "\ufeff":  # json's message names utf-8-sig, already applied
+            raise ParseError("raw document starts with a second UTF-8 byte order mark") from exc
         raise ParseError(
             f"raw document syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc

@@ -75,8 +75,6 @@ def tabulate_irv(profile: CondensedProfile, *, break_ties_by_roster: bool = Fals
     while True:
         tallies = profile.top_choices(continuing)
         active = sum(tallies.values())
-        if active == 0:
-            raise DecisiveTieError("every remaining ballot is exhausted")
         # Round 1 is measured against itself: no transfers, nothing exhausted.
         before = rounds[-1] if rounds else IrvRound(0, tallies, active, {}, 0, None)
         transfers = {c: n - before.tallies[c] for c, n in tallies.items() if n != before.tallies[c]}

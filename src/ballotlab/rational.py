@@ -47,9 +47,9 @@ def decimal_string(value: Fraction | int, places: int) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-def percent_string(share: Fraction | int, places: int = 2) -> str:
-    """A proportion rendered as a percentage, e.g. ``51.46%``."""
-    return decimal_string(share * 100, places) + "%"
+def percent_string(share: Fraction | int) -> str:
+    """A proportion rendered as a percentage to two places, e.g. ``51.46%``."""
+    return decimal_string(share * 100, 2) + "%"
 
 
 def fraction_token(value: Fraction | int) -> str:

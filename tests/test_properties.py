@@ -481,6 +481,7 @@ class TestIrvProperties:
             assert moved == prev.tallies[prev.eliminated]
         final = outcome.rounds[-1]
         assert 2 * final.tallies[outcome.winner] > final.active_ballots
+        assert all(r.active_ballots > 0 for r in outcome.rounds)
 
     @given(st.one_of(profiles(), named_profiles()))
     def test_every_round_matches_per_ballot_irv(self, profile):
@@ -694,6 +695,28 @@ class TestSharedScoringModel:
         values = {g: data.draw(st.integers(scale.low, scale.high))
                   for g in profile.ranking_groups()}
         assert scenario(values).scores(profile) == brute(profile, values)
+
+    @given(profile=scored_profiles, data=st.data())
+    def test_approval_diagnostics_count_the_ballots(self, profile, data):
+        """Approvals per ranking voter and per ballot approving anyone, counted from
+        ``profile.counts`` at any per-group rates."""
+        given_rates = {g: data.draw(rates) for g in profile.ranking_groups()}
+        outcome = evaluate_approval(profile, ApprovalScenario(given_rates))
+        rankers = seconds = approvals = approving = 0
+        for key, n in profile.counts.items():
+            if isinstance(key, tuple) and key:  # a ranking approves its first choice
+                approving += n
+                approvals += n
+                if len(key) > 1:
+                    rankers += n
+                    seconds += given_rates[key[:2]] * n
+            elif key and key != frozenset(profile.candidates):  # a two-way top overvote
+                approving += n
+                approvals += 2 * n
+        assert outcome.mean_approvals_ranking_voters == (
+            1 + Fraction(seconds) / rankers if rankers else 1)
+        assert outcome.mean_approvals_all_voters == (
+            (approvals + seconds) / Fraction(approving) if approving else 0)
 
 
 class TestClosedFormModels:
